@@ -1,7 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench diff matrix scan chaos serve-smoke lint determinism ci
+.PHONY: test bench diff matrix scan chaos serve-smoke lint determinism \
+	e2ebench-selftest ci
 
 ## Tier-1 test suite (fast; micro-benchmarks excluded via the bench marker).
 ## PYTEST_ARGS lets CI bolt on reporting flags (--junitxml, --durations)
@@ -58,6 +59,10 @@ lint:
 determinism:
 	PYTHONHASHSEED=0 $(PYTHON) -m pytest -q tests/test_runner.py -k HashSeed
 	PYTHONHASHSEED=12345 $(PYTHON) -m pytest -q tests/test_runner.py -k HashSeed
+
+## Self-tests of the cold end-to-end benchmark harness (e2ebench/).
+e2ebench-selftest:
+	$(PYTHON) -m unittest discover -s e2ebench -p 'test_*.py'
 
 ## Everything CI gates on, runnable locally before pushing.
 ci: lint test determinism

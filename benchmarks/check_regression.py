@@ -49,14 +49,10 @@ _PREFIX = "test_perf_"
 #: the same run* (same machine, same noise), protecting the vectorized
 #: engines' speedup claims from silent decay.  The committed baseline
 #: documents the full ratios; the floors are deliberately below them to
-#: absorb CI jitter.  ``quick_matrix`` is the full 15-cell grid — its
-#: scalar lane includes cells no kernel touches, so its ratio floor is
-#: the lowest; the per-attack benches isolate their kernels and carry
-#: correspondingly higher floors.
+#: absorb CI jitter.
 SPEEDUP_FLOORS: tuple[tuple[str, str, float], ...] = (
     ("cache_sca[scalar]", "cache_sca[batched]", 3.0),
     ("kocher_timing[scalar]", "kocher_timing[batched]", 1.5),
-    ("quick_matrix[scalar]", "quick_matrix[ensemble]", 1.4),
     ("spec_scan[reference]", "spec_scan[memoized]", 2.0),
 )
 
@@ -74,8 +70,7 @@ OVERHEAD_CEILINGS: tuple[tuple[str, str, float], ...] = (
 #: neighbours were doing during the slowest round.  These are gated on
 #: ``min_s`` — the least-disturbed round — instead; ``mean_s`` is still
 #: recorded in every baseline for human comparison.
-MIN_GATED = frozenset({"quick_matrix[scalar]", "quick_matrix[ensemble]",
-                       "service_overhead[direct]",
+MIN_GATED = frozenset({"service_overhead[direct]",
                        "service_overhead[service]",
                        "spec_scan[reference]",
                        "spec_scan[memoized]"})

@@ -15,8 +15,9 @@ Usage::
 
 Or simply ``make bench``.  ``--quick`` runs only the regression-gated
 benchmarks (see ``GATED_BENCHMARKS``: core load loop, cache hierarchy
-access, scalar/batched trace acquisition, batched CPA, and the
-scalar/ensemble quick-matrix workload lane) with light rounds — the
+access, scalar/batched trace acquisition, batched CPA, scalar/batched
+attack kernels, the service overhead pair and the reference/memoized
+scan) with light rounds — the
 shape CI's bench-smoke job compares against the newest committed
 baseline via ``benchmarks/check_regression.py``.  "Newest" means the
 baseline with the latest *recorded* date (the ``date`` field this
@@ -79,8 +80,6 @@ GATED_BENCHMARKS = (
     "cache_sca[batched]",
     "kocher_timing[scalar]",
     "kocher_timing[batched]",
-    "quick_matrix[scalar]",
-    "quick_matrix[ensemble]",
     "service_overhead[direct]",
     "service_overhead[service]",
     "spec_scan[reference]",

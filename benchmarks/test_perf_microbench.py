@@ -248,55 +248,6 @@ def test_observation_overhead_is_bounded():
         f"vs unobserved {unobserved * 1e3:.2f}ms")
 
 
-@pytest.mark.parametrize("mode", ["scalar", "ensemble"])
-def test_perf_quick_matrix(benchmark, mode):
-    """The full 15-cell quick matrix through the runner: every
-    (platform, category) attack cell plus the three workload cells.
-    ``ensemble`` turns on *both* vectorized engines — the
-    struct-of-arrays kernel-sweep ensemble and the batched attack
-    kernels — which is how a performance-conscious caller runs the
-    grid.  The two modes produce bit-identical payloads (fingerprints
-    are asserted below); the wall-time gap is the combined vectorization
-    win, and ``check_regression.SPEEDUP_FLOORS`` gates the in-run ratio
-    so the speedup cannot silently decay.
-
-    ``benchmark.pedantic`` pins rounds: each measurement is a second-
-    scale full matrix (noise self-averages within a round), so a handful
-    of rounds bounds CI cost without ceding statistical footing.  The
-    regression gate compares this bench on ``min_s`` for the same
-    reason — see ``check_regression.MIN_GATED``.
-    """
-    from repro.attacks.suites import SUITES, MatrixKnobs
-    from repro.common import PlatformClass
-    from repro.runner import (
-        WORKLOAD_CATEGORY,
-        CellSpec,
-        ExperimentRunner,
-        payload_fingerprint,
-    )
-
-    knobs = MatrixKnobs.quick()
-    categories = [c.value for c in SUITES] + [WORKLOAD_CATEGORY]
-    specs = [CellSpec(seed=0x2019, platform=p.value, category=category,
-                      knobs=knobs.as_key())
-             for p in (PlatformClass.EMBEDDED, PlatformClass.MOBILE,
-                       PlatformClass.SERVER_DESKTOP)
-             for category in categories]
-    vectorized = mode == "ensemble"
-    runner = ExperimentRunner(ensemble=vectorized, batch=vectorized)
-
-    def run():
-        return runner.run(specs)
-
-    payloads = benchmark.pedantic(run, rounds=2, iterations=1,
-                                  warmup_rounds=1)
-    assert len(payloads) == 15
-    benchmark.extra_info["fingerprints"] = {
-        f"{spec.platform}:{spec.category}": payload_fingerprint(
-            payloads[spec])
-        for spec in specs}
-
-
 def test_perf_runner_cached_matrix(benchmark, tmp_path):
     """A fully warmed cache turns the quick matrix into pure lookups —
     this tracks the memoisation overhead (15 key hashes + JSON reads)."""

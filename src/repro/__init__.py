@@ -18,7 +18,7 @@ Quick start::
     print(ForeshadowAttack(sgx, victim.handle).run())
 """
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "arch",

@@ -1,8 +1,8 @@
 """Lockstep differential harness: batched attack kernels vs scalar oracles.
 
 The contract of :mod:`repro.attacks.batch` is **bit-identity**, the same
-bar the CPU fast path (:mod:`repro.cpu.diff`), the power instrument
-(:mod:`repro.power.diff`) and the ensemble engine are held to: for any
+bar the CPU fast path (:mod:`repro.cpu.diff`) and the power instrument
+(:mod:`repro.power.diff`) are held to: for any
 attack configuration the kernel accepts, the batched and scalar paths
 must produce
 

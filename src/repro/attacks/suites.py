@@ -44,14 +44,6 @@ class MatrixKnobs:
     ``fr_samples`` is 12 even in quick mode: at 8, Flush+Reload's byte
     vote is marginal and roughly 2% of ``(seed, platform)`` pairs
     measured 0.5 instead of 1.0 — the grid must be seed-invariant.
-
-    ``sweep_instances``/``sweep_iters`` size the workload cell's kernel
-    calibration sweep (:mod:`repro.core.sweep`): N seed-varied instances
-    running an ``iters``-iteration kernel.  Quick keeps them small so
-    tier-1 tests that execute real cells stay fast; the sweep is the
-    part of a cell the ``ensemble=`` knob vectorizes, and its summary is
-    bit-identical either way — the knob sizes the measurement, never
-    changes it.
     """
 
     secret_len: int = 4
@@ -61,8 +53,6 @@ class MatrixKnobs:
     rsa_bits: int = 64
     timing_samples: int = 600
     timing_bits: int = 8
-    sweep_instances: int = 12
-    sweep_iters: int = 48
 
     @classmethod
     def quick(cls) -> "MatrixKnobs":
@@ -71,8 +61,7 @@ class MatrixKnobs:
     @classmethod
     def full(cls) -> "MatrixKnobs":
         return cls(secret_len=8, traces=1000, fr_samples=12, fr_values=8,
-                   rsa_bits=96, timing_samples=1200, timing_bits=16,
-                   sweep_instances=64, sweep_iters=160)
+                   rsa_bits=96, timing_samples=1200, timing_bits=16)
 
     def as_key(self) -> tuple[tuple[str, int], ...]:
         """Canonical, hashable, picklable form (cache-key material)."""
@@ -81,7 +70,13 @@ class MatrixKnobs:
 
     @classmethod
     def from_key(cls, key: tuple[tuple[str, int], ...]) -> "MatrixKnobs":
-        return cls(**dict(key))
+        """Inverse of :meth:`as_key`; raises ``ValueError`` naming any
+        knob this class does not define."""
+        values = dict(key)
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown matrix knob(s): {', '.join(unknown)}")
+        return cls(**values)
 
 
 def remote_suite(arch: NullArchitecture, rng: XorShiftRNG,
@@ -106,12 +101,13 @@ def local_suite(arch: NullArchitecture, rng: XorShiftRNG,
 
 def microarch_suite(arch: NullArchitecture, rng: XorShiftRNG,
                     knobs: MatrixKnobs,
-                    batch: bool = False) -> list[AttackResult]:
-    """``batch`` routes the Flush+Reload cell through the batched attack
-    kernels (:mod:`repro.attacks.batch`) — an execution strategy, not a
-    measurement input: results, RNG streams and SoC end state are
-    bit-identical to the scalar path, with automatic scalar fallback
-    for configurations the kernels don't cover."""
+                    batch: bool = True) -> list[AttackResult]:
+    """The Flush+Reload cell runs through the batched attack kernels
+    (:mod:`repro.attacks.batch`): results, RNG streams and SoC end state
+    are bit-identical to the scalar attack, with automatic scalar
+    fallback for configurations the kernels don't cover.  ``batch=False``
+    reaches the scalar reference attack (the differential suite's
+    oracle switch)."""
     soc = arch.soc
     secret = bytes(0x41 + rng.next_below(26)
                    for _ in range(knobs.secret_len))
@@ -135,7 +131,9 @@ def microarch_suite(arch: NullArchitecture, rng: XorShiftRNG,
 
 def physical_suite(arch: NullArchitecture, rng: XorShiftRNG,
                    knobs: MatrixKnobs,
-                   batch: bool = False) -> list[AttackResult]:
+                   batch: bool = True) -> list[AttackResult]:
+    """``batch`` is the oracle switch as in :func:`microarch_suite`; it
+    selects the batched or the scalar Kocher timing attack."""
     # Power: CPA on an unprotected AES running on the device.  Acquisition
     # is batched (bit-identical to the scalar reference; repro.power.diff
     # proves it), so the cell's payload digest is unchanged.

@@ -19,33 +19,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arch.null import NullArchitecture
 from repro.attacks.base import AttackCategory, AttackResult
 from repro.attacks.suites import (
     MatrixKnobs,
     PRIOR_ATTRS,
     SUITES,
 )
-from repro.common import PlatformClass, accepts_keyword
+from repro.common import PlatformClass
 from repro.core.platforms import (
     PlatformProfile,
     STANDARD_PLATFORMS,
     WorkloadResult,
-    reference_workload,
 )
 from repro.core.taxonomy import Importance, importance_from_score
 from repro.cpu.soc import soc_factory_for
-from repro.crypto.rng import XorShiftRNG
 from repro.runner import (
     WORKLOAD_CATEGORY,
     CellSpec,
     ExperimentRunner,
     derive_cell_seed,
 )
+from repro.runner.engine import run_cell
 from repro.runner.serialize import attack_result_from_dict, workload_from_dict
-
-#: Backwards-compatible alias; the knobs now live with the suites.
-_QuickKnobs = MatrixKnobs
 
 
 @dataclass
@@ -86,30 +81,16 @@ class EvaluationMatrix:
     uncached :class:`ExperimentRunner`; pass one configured with
     ``jobs``/``cache`` to parallelise or memoise.  After
     :meth:`evaluate`, the runner's ``stats`` describe the run.
-
-    ``ensemble`` routes each workload cell's kernel calibration sweep
-    through the struct-of-arrays execution engine
-    (:mod:`repro.cpu.ensemble`) instead of the scalar per-instance
-    loop; ``batch`` routes the attack cells' hot attacks through the
-    batched attack kernels (:mod:`repro.attacks.batch`).  Payloads are
-    bit-identical either way (the differential suites prove it), so
-    the knobs trade nothing but wall time; they only apply when the
-    matrix builds its own runner — an explicitly passed ``runner``
-    brings its own ``ensemble``/``batch`` settings.
     """
 
     def __init__(self, platforms: tuple[PlatformProfile, ...]
                  = STANDARD_PLATFORMS, quick: bool = True,
                  seed: int = 0x2019,
-                 runner: ExperimentRunner | None = None,
-                 ensemble: bool = False,
-                 batch: bool = False) -> None:
+                 runner: ExperimentRunner | None = None) -> None:
         self.platforms = platforms
         self.knobs = MatrixKnobs.quick() if quick else MatrixKnobs.full()
         self.seed = seed
         self.runner = runner
-        self.ensemble = bool(ensemble)
-        self.batch = bool(batch)
         self.cells: dict[tuple[PlatformClass, AttackCategory], CellResult] = {}
         self.workloads: dict[PlatformClass, WorkloadResult] = {}
 
@@ -145,19 +126,21 @@ class EvaluationMatrix:
         if self.cells and self.workloads and not force:
             return self.cells
 
-        runner = self.runner or ExperimentRunner(ensemble=self.ensemble,
-                                                 batch=self.batch)
+        runner = self.runner or ExperimentRunner()
+        categories = [c.value for c in SUITES] + [WORKLOAD_CATEGORY]
         remote = [p for p in self.platforms if self._runnable_in_worker(p)]
-        local = [p for p in self.platforms if p not in remote]
-
-        specs: list[CellSpec] = []
-        for profile in remote:
-            specs.extend(self._spec(profile, category.value)
-                         for category in SUITES)
-            specs.append(self._spec(profile, WORKLOAD_CATEGORY))
+        specs = [self._spec(profile, category)
+                 for profile in remote for category in categories]
         payloads = runner.run(specs) if specs else {}
+        # Profiles with unregistered SoC factories run in-process, through
+        # the same cell body as the workers (no cache, no fan-out).
+        for profile in self.platforms:
+            if profile not in remote:
+                for category in categories:
+                    spec = self._spec(profile, category)
+                    payloads[spec] = run_cell(spec, profile.make_soc())
 
-        for profile in remote:
+        for profile in self.platforms:
             for category in SUITES:
                 payload = payloads.get(self._spec(profile, category.value))
                 if payload is None:
@@ -176,26 +159,7 @@ class EvaluationMatrix:
             if workload is not None:
                 self.workloads[profile.platform] = \
                     workload_from_dict(workload["workload"])
-
-        for profile in local:
-            self._evaluate_locally(profile)
         return self.cells
-
-    def _evaluate_locally(self, profile: PlatformProfile) -> None:
-        """In-process path for profiles with unregistered SoC factories
-        (same seed derivation, no cache/fan-out)."""
-        for category, suite in SUITES.items():
-            arch = NullArchitecture(profile.make_soc(), profile.platform)
-            rng = XorShiftRNG(self.cell_seed(profile.platform, category))
-            if self.batch and accepts_keyword(suite, "batch"):
-                results = suite(arch, rng, self.knobs, batch=True)
-            else:
-                results = suite(arch, rng, self.knobs)
-            self.cells[(profile.platform, category)] = CellResult(
-                profile.platform, category, results,
-                self._prior(profile, category))
-        self.workloads[profile.platform] = \
-            reference_workload(profile.make_soc())
 
     # -- requirement rows ----------------------------------------------------------
 

@@ -101,19 +101,16 @@ def corrupt_payload(payload: dict) -> dict:
 def chaos_execute_spec(spec, attempt: int, config: ChaosConfig,
                        in_worker: bool = True,
                        collect: bool = False,
-                       ensemble: bool = False,
-                       batch: bool = False,
                        memo: bool = False) -> dict:
     """:func:`execute_spec` with a chance of drawn sabotage.
 
     ``in_worker`` gates the process-lethal modes: a crash or hang is only
     realised inside a disposable pool worker; in the parent process both
     downgrade to :class:`ChaosError` so serial runs stay survivable.
-    ``collect``, ``ensemble``, ``batch`` and ``memo`` are forwarded to
-    :func:`execute_spec` (telemetry and the vectorized/memoized paths
-    ride along even under chaos — observed recovery must stay
-    observable, and the fast paths' payloads face the same corruption
-    adversary).
+    ``collect`` and ``memo`` are forwarded to :func:`execute_spec`
+    (telemetry and the memoized path ride along even under chaos —
+    observed recovery must stay observable, and the fast path's
+    payloads face the same corruption adversary).
     """
     from repro.runner.engine import execute_spec
 
@@ -131,10 +128,6 @@ def chaos_execute_spec(spec, attempt: int, config: ChaosConfig,
     flags = {}
     if collect:
         flags["collect"] = True
-    if ensemble:
-        flags["ensemble"] = True
-    if batch:
-        flags["batch"] = True
     if memo:
         flags["memo"] = True
     payload = execute_spec(spec, **flags)

@@ -139,8 +139,40 @@ def payload_intact(payload: object) -> bool:
         return False
 
 
+def run_cell(spec: CellSpec, soc) -> dict:
+    """The cell body: one attack suite or the reference workload on an
+    already-built ``soc``.
+
+    Returns the measurement part of the payload (``kind`` plus
+    ``attacks`` or ``workload``).  :func:`execute_spec` wraps it with
+    SoC construction, telemetry and the integrity digest;
+    :class:`~repro.core.matrix.EvaluationMatrix` calls it directly for
+    profiles whose SoC factory is not registered, so both paths seed
+    and dispatch identically.  The suites run the batched attack
+    kernels, which are bit-identical to the scalar reference attacks.
+    """
+    from repro.arch.null import NullArchitecture
+    from repro.attacks.base import AttackCategory
+    from repro.attacks.suites import SUITES, MatrixKnobs
+    from repro.common import PlatformClass
+    from repro.core.platforms import reference_workload
+    from repro.crypto.rng import XorShiftRNG
+    from repro.runner.serialize import attack_result_to_dict, workload_to_dict
+
+    if spec.category == WORKLOAD_CATEGORY:
+        return {"kind": WORKLOAD_CATEGORY,
+                "workload": workload_to_dict(reference_workload(soc))}
+    platform = PlatformClass(spec.platform)
+    arch = NullArchitecture(soc, platform)
+    rng = XorShiftRNG(derive_cell_seed(spec.seed, spec.platform,
+                                       spec.category))
+    suite = SUITES[AttackCategory(spec.category)]
+    results = suite(arch, rng, MatrixKnobs.from_key(spec.knobs))
+    return {"kind": "attacks",
+            "attacks": [attack_result_to_dict(r) for r in results]}
+
+
 def execute_spec(spec: CellSpec, collect: bool = False,
-                 ensemble: bool = False, batch: bool = False,
                  memo: bool = False) -> dict:
     """Compute one cell; importable by reference from worker processes.
 
@@ -152,22 +184,6 @@ def execute_spec(spec: CellSpec, collect: bool = False,
     fed the cache-hierarchy hit rates, and both land in the payload
     under volatile keys — the payload fingerprint is unchanged, so
     observed and unobserved runs share cache entries.
-
-    ``ensemble`` routes the workload cell's kernel calibration sweep
-    through the struct-of-arrays :class:`~repro.cpu.ensemble.CoreEnsemble`
-    instead of the scalar per-core loop.  Like ``collect`` it is an
-    *execution strategy*, not a measurement input: the sweep summary —
-    and therefore the payload and its fingerprint — is bit-identical
-    either way (the differential suite proves it), so ensemble and
-    scalar runs legitimately share cache entries and manifests.
-
-    ``batch`` is the attack-cell counterpart: suites that take it route
-    their hot attacks (cache SCA probing, Kocher timing) through the
-    batched kernels of :mod:`repro.attacks.batch`, which are
-    bit-identical to the scalar attacks (recovered keys, scores, RNG
-    end states, SoC state) with automatic scalar fallback — payload
-    fingerprints are unchanged, so ``batch`` runs share cache entries
-    with scalar runs too.
 
     ``memo`` is the scan-cell strategy knob: scan cells route through
     the memoized exploration engine (:mod:`repro.spec.memo`), which
@@ -194,15 +210,8 @@ def execute_spec(spec: CellSpec, collect: bool = False,
         return payload
 
     import repro.obs as obs
-    from repro.arch.null import NullArchitecture
-    from repro.attacks.base import AttackCategory
-    from repro.attacks.suites import SUITES, MatrixKnobs
-    from repro.common import PlatformClass, accepts_keyword
-    from repro.core.platforms import reference_workload
-    from repro.core.sweep import run_kernel_sweep
+    from repro.common import PlatformClass
     from repro.cpu.soc import soc_factory_for
-    from repro.crypto.rng import XorShiftRNG
-    from repro.runner.serialize import attack_result_to_dict, workload_to_dict
 
     coords = f"{spec.platform}/{spec.category}"
     tracer = obs.Tracer(scope=coords, seed=derive_cell_seed(
@@ -210,45 +219,13 @@ def execute_spec(spec: CellSpec, collect: bool = False,
     registry = obs.MetricsRegistry() if collect else None
 
     start = time.perf_counter()
-    platform = PlatformClass(spec.platform)
-    soc = soc_factory_for(platform)()
+    soc = soc_factory_for(PlatformClass(spec.platform))()
     if registry is not None:
         for core in soc.cores:
             core.metrics = registry
     with obs.activate(tracer) if collect else nullcontext():
         with obs.span(f"cell:{coords}", cat="cell", seed=spec.seed):
-            if spec.category == WORKLOAD_CATEGORY:
-                knobs = MatrixKnobs.from_key(spec.knobs)
-                sweep = run_kernel_sweep(
-                    platform, derive_cell_seed(spec.seed, spec.platform,
-                                               spec.category),
-                    knobs.sweep_instances, knobs.sweep_iters,
-                    ensemble=ensemble)
-                # The execution strategy is not part of the measurement:
-                # dropping the flag keeps scalar and ensemble payload
-                # fingerprints equal (the determinism check CI runs).
-                sweep.pop("ensemble", None)
-                payload = {
-                    "kind": WORKLOAD_CATEGORY,
-                    "workload": workload_to_dict(reference_workload(soc)),
-                    "sweep": sweep}
-            else:
-                category = AttackCategory(spec.category)
-                arch = NullArchitecture(soc, platform)
-                rng = XorShiftRNG(derive_cell_seed(spec.seed, spec.platform,
-                                                   spec.category))
-                knobs = MatrixKnobs.from_key(spec.knobs)
-                suite = SUITES[category]
-                if batch and accepts_keyword(suite, "batch"):
-                    # Keyword only when set: suites without the knob
-                    # (and monkeypatched three-arg stand-ins) keep the
-                    # exact historical call shape.
-                    results = suite(arch, rng, knobs, batch=True)
-                else:
-                    results = suite(arch, rng, knobs)
-                payload = {
-                    "kind": "attacks",
-                    "attacks": [attack_result_to_dict(r) for r in results]}
+            payload = run_cell(spec, soc)
     payload["cell_instret"] = sum(core.instret for core in soc.cores)
     payload["cell_wall_time_s"] = time.perf_counter() - start
     if collect:
@@ -268,18 +245,14 @@ class CellTask:
     ``collect`` asks the worker to gather in-cell telemetry (span
     records, core/cache metric snapshots) into the payload's volatile
     keys; it is only set when the runner's observer wants them.
-    ``ensemble`` picks the vectorized sweep path, ``batch`` the batched
-    attack kernels, and ``memo`` the memoized scan explorer — all
-    bit-identical to their reference paths, so they change nothing but
-    speed.
+    ``memo`` picks the memoized scan explorer, bit-identical to the
+    reference explorer, so it changes nothing but speed.
     """
 
     spec: CellSpec
     attempt: int = 0
     chaos: ChaosConfig | None = None
     collect: bool = False
-    ensemble: bool = False
-    batch: bool = False
     memo: bool = False
 
 
@@ -298,10 +271,6 @@ def execute_task(task: CellTask) -> tuple[str, object]:
         flags = {}
         if task.collect:
             flags["collect"] = True
-        if task.ensemble:
-            flags["ensemble"] = True
-        if task.batch:
-            flags["batch"] = True
         if task.memo:
             flags["memo"] = True
         if task.chaos is not None:
@@ -385,11 +354,8 @@ class ExperimentRunner:
     ``chaos`` injects harness faults (tests only, or ``--chaos``);
     ``fail_fast`` restores the historical abort-on-first-error
     behaviour instead of degrading failed cells to structured outcomes;
-    ``ensemble`` runs each workload cell's kernel sweep through the
-    struct-of-arrays engine, ``batch`` the attack cells through the
-    batched attack kernels, and ``memo`` the scan cells through the
-    memoized exploration engine (all bit-identical payloads, faster
-    wall time).
+    ``memo`` runs the scan cells through the memoized exploration engine
+    (bit-identical payloads, faster wall time).
 
     Each :meth:`run` replaces :attr:`stats` with that run's
     measurements, including one
@@ -403,8 +369,6 @@ class ExperimentRunner:
                  chaos: ChaosConfig | None = None,
                  fail_fast: bool = False,
                  observer: RunObserver | None = None,
-                 ensemble: bool = False,
-                 batch: bool = False,
                  memo: bool = False) -> None:
         self.jobs = max(1, int(jobs))
         self.cache = cache
@@ -412,8 +376,6 @@ class ExperimentRunner:
         self.retry = retry if retry is not None else RetryPolicy()
         self.chaos = chaos
         self.fail_fast = fail_fast
-        self.ensemble = bool(ensemble)
-        self.batch = bool(batch)
         self.memo = bool(memo)
         #: Lifecycle hook surface; the default no-op observer keeps the
         #: fast path at its unobserved cost (one call per cell edge).
@@ -558,10 +520,6 @@ class ExperimentRunner:
             flags = {}
             if self._collect:
                 flags["collect"] = True
-            if self.ensemble:
-                flags["ensemble"] = True
-            if self.batch:
-                flags["batch"] = True
             if self.memo:
                 flags["memo"] = True
             if self.chaos is not None:
@@ -716,8 +674,6 @@ class ExperimentRunner:
                     task = CellTask(spec=spec, attempt=attempt,
                                     chaos=self.chaos,
                                     collect=self._collect,
-                                    ensemble=self.ensemble,
-                                    batch=self.batch,
                                     memo=self.memo)
                     try:
                         future = pool.submit(execute_task, task)

@@ -9,11 +9,6 @@ job's identity is the SHA-256 of its canonical JSON, so submission is
 naturally idempotent (re-submitting the same campaign re-points at the
 same job) and two clients asking for overlapping grids share cells
 through the content-addressed result cache rather than recomputing.
-
-``ensemble``/``batch`` ride along as *execution strategy hints*, not
-measurement inputs: they are excluded from the job id exactly as they
-are excluded from cell cache keys, because payloads are bit-identical
-either way (the differential suites prove it).
 """
 
 from __future__ import annotations
@@ -45,20 +40,23 @@ class JobSpec:
     ``knobs`` is the canonical tuple form from
     ``MatrixKnobs.as_key()``; ``platforms``/``categories`` name the
     sub-grid (category ``"workload"`` selects the reference-workload
-    cell).  ``ensemble``/``batch`` choose the vectorized execution
-    lanes and deliberately do not participate in :attr:`job_id`.
+    cell).  Knob names ``MatrixKnobs`` does not define are rejected with
+    a ``ValueError`` at construction, so a stale job file is quarantined
+    on load instead of failing every cell inside the worker.
     """
 
     seed: int = 0x2019
     knobs: tuple[tuple[str, int], ...] = ()
     platforms: tuple[str, ...] = field(default_factory=_default_platforms)
     categories: tuple[str, ...] = field(default_factory=_default_categories)
-    ensemble: bool = False
-    batch: bool = False
+
+    def __post_init__(self) -> None:
+        from repro.attacks.suites import MatrixKnobs
+        MatrixKnobs.from_key(self.knobs)
 
     @property
     def job_id(self) -> str:
-        """Content address of the campaign (strategy flags excluded)."""
+        """Content address of the campaign."""
         material = json.dumps({
             "schema": JOB_SCHEMA,
             "seed": self.seed,
@@ -86,8 +84,6 @@ class JobSpec:
             "knobs": [list(pair) for pair in self.knobs],
             "platforms": list(self.platforms),
             "categories": list(self.categories),
-            "ensemble": self.ensemble,
-            "batch": self.batch,
         }
 
     @classmethod
@@ -99,20 +95,16 @@ class JobSpec:
             seed=int(data["seed"]),
             knobs=tuple((str(k), int(v)) for k, v in data.get("knobs", [])),
             platforms=tuple(data["platforms"]),
-            categories=tuple(data["categories"]),
-            ensemble=bool(data.get("ensemble", False)),
-            batch=bool(data.get("batch", False)))
+            categories=tuple(data["categories"]))
 
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def matrix(cls, quick: bool = True, seed: int = 0x2019,
-               ensemble: bool = False, batch: bool = False) -> "JobSpec":
+    def matrix(cls, quick: bool = True, seed: int = 0x2019) -> "JobSpec":
         """The full Figure-1 evaluation grid as one job."""
         from repro.attacks.suites import MatrixKnobs
         knobs = MatrixKnobs.quick() if quick else MatrixKnobs.full()
-        return cls(seed=seed, knobs=knobs.as_key(),
-                   ensemble=ensemble, batch=batch)
+        return cls(seed=seed, knobs=knobs.as_key())
 
     @classmethod
     def from_manifest(cls, manifest) -> "JobSpec":

@@ -4,12 +4,12 @@ The batched kernels' contract is bit-identity (same
 :class:`AttackResult` including recovered keys, same RNG stream
 consumption, same SoC end state down to LRU stamps and energy counters),
 not approximate equality — mirroring ``tests/test_power_differential.py``
-for the power instrument and ``tests/test_ensemble_differential.py`` for
-the sweep engine.  Hypothesis drives :mod:`repro.attacks.batch_diff`
-across platforms, victim shapes and configurations; targeted tests pin
-the edges (N=0, N=1, blocked victims, tie-breaks), the routing
-fallbacks, and the matrix-level invariants (payload fingerprints and
-cache keys unchanged by ``batch=``).
+for the power instrument.  Hypothesis drives
+:mod:`repro.attacks.batch_diff` across platforms, victim shapes and
+configurations; targeted tests pin the edges (N=0, N=1, blocked victims,
+tie-breaks), the routing fallbacks, and the matrix-level invariants
+(payload fingerprints of the batched default path equal those of the
+scalar suites).
 """
 
 import pytest
@@ -222,16 +222,26 @@ class TestMatrixEquivalence:
             assert batched.leaked == scalar.leaked
             assert batched.details == scalar.details
 
-    def test_payload_fingerprints_unchanged_by_batch(self):
+    def test_payload_fingerprints_unchanged_by_batch(self, monkeypatch):
         # The fingerprint covers every deterministic payload field (wall
-        # time is volatile), so equal fingerprints mean ``batch=`` runs
-        # share cache entries with scalar runs byte-for-byte.
+        # time is volatile), so equal fingerprints mean the batched
+        # default path computes the scalar suites' payloads byte-for-byte.
+        import functools
+
+        from repro.attacks.base import AttackCategory
+        from repro.attacks.suites import SUITES
         from repro.runner import CellSpec, payload_fingerprint
         from repro.runner.engine import execute_spec
         knobs = MatrixKnobs.quick().as_key()
-        for platform in PLATFORMS:
-            for category in ("microarchitectural", "classical-physical"):
-                spec = CellSpec(seed=0x2019, platform=platform,
-                                category=category, knobs=knobs)
-                assert payload_fingerprint(execute_spec(spec, batch=True)) \
-                    == payload_fingerprint(execute_spec(spec))
+        specs = [CellSpec(seed=0x2019, platform=platform,
+                          category=category, knobs=knobs)
+                 for platform in PLATFORMS
+                 for category in ("microarchitectural",
+                                  "classical-physical")]
+        batched = [payload_fingerprint(execute_spec(s)) for s in specs]
+        for category in (AttackCategory.MICROARCHITECTURAL,
+                         AttackCategory.PHYSICAL):
+            monkeypatch.setitem(SUITES, category, functools.partial(
+                SUITES[category], batch=False))
+        assert batched == [payload_fingerprint(execute_spec(s))
+                           for s in specs]

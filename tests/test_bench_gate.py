@@ -67,8 +67,6 @@ _HEALTHY["cache_sca[scalar]"] = 1.0
 _HEALTHY["cache_sca[batched]"] = 0.15
 _HEALTHY["kocher_timing[scalar]"] = 0.045
 _HEALTHY["kocher_timing[batched]"] = 0.018
-_HEALTHY["quick_matrix[scalar]"] = 9.0
-_HEALTHY["quick_matrix[ensemble]"] = 1.5
 _HEALTHY["spec_scan[reference]"] = 0.19
 _HEALTHY["spec_scan[memoized]"] = 0.0013
 
@@ -144,16 +142,6 @@ class TestGateVerdicts:
         assert main([str(current), "--against", str(against)]) == 1
         assert "cache_hierarchy_access" in capsys.readouterr().err
 
-    def test_speedup_floor_gates_ensemble_ratio(self, tmp_path, capsys):
-        against = _baseline(tmp_path / "BENCH_old.json", "2026-08-01",
-                            _HEALTHY)
-        decayed = dict(_HEALTHY)
-        decayed["quick_matrix[ensemble]"] = 7.0  # 1.29x < 1.4x floor
-        current = _baseline(tmp_path / "current.json", "2026-08-08",
-                            decayed)
-        assert main([str(current), "--against", str(against)]) == 1
-        assert "floor" in capsys.readouterr().err
-
     def test_speedup_floor_gates_batched_attack_ratio(self, tmp_path,
                                                       capsys):
         against = _baseline(tmp_path / "BENCH_old.json", "2026-08-01",
@@ -174,13 +162,15 @@ class TestGateVerdicts:
         current = _baseline(tmp_path / "current.json", "2026-08-08",
                             decayed)
         assert main([str(current), "--against", str(against)]) == 1
-        assert "spec_scan[memoized]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "spec_scan[memoized]" in err
+        assert "floor" in err
 
     def test_speedup_floor_tolerates_missing_pair(self, tmp_path):
         """A quick run without the pair (e.g. -k filter) must not crash
         or fail the floor check."""
         partial = {name: mean for name, mean in _HEALTHY.items()
-                   if not name.startswith("quick_matrix")}
+                   if not name.startswith("spec_scan")}
         against = _baseline(tmp_path / "BENCH_old.json", "2026-08-01",
                             partial)
         current = _baseline(tmp_path / "current.json", "2026-08-08",
@@ -206,23 +196,23 @@ class TestMinGating:
         against = _baseline(tmp_path / "BENCH_old.json", "2026-08-01",
                             _HEALTHY)
         noisy = dict(_HEALTHY)
-        noisy["quick_matrix[ensemble]"] = _HEALTHY[
-            "quick_matrix[ensemble]"] * 2  # mean doubled...
+        noisy["spec_scan[memoized]"] = _HEALTHY[
+            "spec_scan[memoized]"] * 2  # mean doubled...
         current = _baseline(
             tmp_path / "current.json", "2026-08-08", noisy,
-            mins={"quick_matrix[ensemble]":
-                  _HEALTHY["quick_matrix[ensemble]"]})  # ...min flat
+            mins={"spec_scan[memoized]":
+                  _HEALTHY["spec_scan[memoized]"]})  # ...min flat
         assert main([str(current), "--against", str(against)]) == 0
 
     def test_regressed_min_fails(self, tmp_path, capsys):
         against = _baseline(tmp_path / "BENCH_old.json", "2026-08-01",
                             _HEALTHY)
         slow = dict(_HEALTHY)
-        slow["quick_matrix[ensemble]"] = _HEALTHY[
-            "quick_matrix[ensemble]"] * 2  # min regressed with the mean
+        slow["spec_scan[memoized]"] = _HEALTHY[
+            "spec_scan[memoized]"] * 2  # min regressed with the mean
         current = _baseline(tmp_path / "current.json", "2026-08-08", slow)
         assert main([str(current), "--against", str(against)]) == 1
-        assert "quick_matrix[ensemble]" in capsys.readouterr().err
+        assert "spec_scan[memoized]" in capsys.readouterr().err
 
     def test_mean_gated_bench_still_gates_on_mean(self, tmp_path, capsys):
         against = _baseline(tmp_path / "BENCH_old.json", "2026-08-01",

@@ -5,9 +5,12 @@ same metadata, same RNG stream consumption, same recovered keys), not
 approximate equality — mirroring ``tests/test_differential.py`` for the
 CPU engine.  Hypothesis drives :mod:`repro.power.diff` across
 masked/shuffled/noisy configurations; targeted tests pin the edges
-(N=0, N=1, multi-round capture, observability neutrality) and the
-routing fallbacks.
+(N=0, N=1, multi-round capture, observability neutrality), the
+routing fallbacks, and the ``batch=`` forwarding of
+:func:`~repro.attacks.dpa.traces_to_success`.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -15,7 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.attacks.dpa import cpa_recover_key, dpa_recover_key
+from repro.attacks.dpa import (
+    cpa_recover_key,
+    dpa_recover_key,
+    traces_to_success,
+)
 from repro.crypto.aes import AES128, TTableAES
 from repro.crypto.aes_batch import BatchAES128
 from repro.crypto.rng import XorShiftRNG
@@ -224,3 +231,80 @@ class TestDegenerateDPAPartitions:
         best, peaks = dpa_attack(traces, 3)
         assert best == 0
         assert np.all(peaks == 0.0)
+
+
+class _RecordingAcquire:
+    """Callable acquire stub that records how it was invoked."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, n, batch=None):
+        self.calls.append({"n": n, "batch": batch})
+        return capture_aes_traces(
+            lambda leak: AES128(bytes(16), leak_hook=leak), n,
+            HammingWeightModel(noise_std=1.0, rng=XorShiftRNG(3)),
+            rng=XorShiftRNG(4), batch=True)
+
+
+def _analyse_nothing(traces):
+    return bytes(16)
+
+
+class TestBatchRouting:
+    """Regression tests for the ``batch=`` forwarding bugfix: the old
+    ``"batch" in inspect.signature(acquire).parameters`` check dropped
+    ``**kwargs`` forwarders (and partials over them) onto the scalar
+    path silently."""
+
+    def test_direct_acquire_gets_batch(self):
+        acquire = _RecordingAcquire()
+        traces_to_success(acquire, _analyse_nothing, bytes(16), [8])
+        assert acquire.calls == [{"n": 8, "batch": True}]
+
+    def test_kwargs_forwarder_gets_batch(self):
+        acquire = _RecordingAcquire()
+
+        def forwarder(n, **kwargs):
+            return acquire(n, **kwargs)
+
+        traces_to_success(forwarder, _analyse_nothing, bytes(16), [8],
+                          batch=False)
+        assert acquire.calls == [{"n": 8, "batch": False}]
+
+    def test_partial_wrapped_forwarder_gets_batch(self):
+        acquire = _RecordingAcquire()
+
+        def forwarder(tag, n, **kwargs):
+            assert tag == "sweep"
+            return acquire(n, **kwargs)
+
+        wrapped = functools.partial(forwarder, "sweep")
+        traces_to_success(wrapped, _analyse_nothing, bytes(16), [8])
+        assert acquire.calls == [{"n": 8, "batch": True}]
+
+    def test_decorated_acquire_gets_batch(self):
+        acquire = _RecordingAcquire()
+
+        def with_logging(fn):
+            @functools.wraps(fn)
+            def inner(*args, **kwargs):
+                return fn(*args, **kwargs)
+            return inner
+
+        def base(n, batch=None):
+            return acquire(n, batch=batch)
+
+        traces_to_success(with_logging(base), _analyse_nothing,
+                          bytes(16), [8], batch=False)
+        assert acquire.calls == [{"n": 8, "batch": False}]
+
+    def test_batchless_acquire_invoked_unchanged(self):
+        calls = []
+
+        def plain(n):
+            calls.append(n)
+            return _RecordingAcquire()(n)
+
+        traces_to_success(plain, _analyse_nothing, bytes(16), [8])
+        assert calls == [8]

@@ -9,6 +9,7 @@ smoke test runs the matrix in fresh subprocesses under *different*
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -23,7 +24,7 @@ from repro.attacks.base import AttackCategory
 from repro.attacks.suites import MatrixKnobs
 from repro.common import PlatformClass
 from repro.core.matrix import EvaluationMatrix
-from repro.core.platforms import PlatformProfile, profile_for
+from repro.core.platforms import profile_for
 from repro.cpu.soc import make_embedded_soc, soc_factory_for
 from repro.runner import (
     INTEGRITY_KEY,
@@ -540,13 +541,15 @@ class TestWorkerConstructibility:
         assert payload["workload"]["cycles"] > 0
 
     def test_custom_profile_falls_back_to_local_execution(self):
-        profile = PlatformProfile(
-            platform=PlatformClass.EMBEDDED,
-            description="custom rig",
-            make_soc=lambda: make_embedded_soc(),
-            physical_access_prior=1.0,
-            co_residency_prior=0.1)
-        matrix = EvaluationMatrix(platforms=(profile,))
-        cells = matrix.evaluate()
+        # An unregistered factory building the very same SoC runs
+        # in-process and must give the runner path's cells and workload.
+        registered = profile_for(PlatformClass.EMBEDDED)
+        custom = dataclasses.replace(registered, description="custom rig",
+                                     make_soc=lambda: make_embedded_soc())
+        local = EvaluationMatrix(platforms=(custom,), seed=7)
+        remote = EvaluationMatrix(platforms=(registered,), seed=7)
+        assert not local._runnable_in_worker(custom)
+        cells = local.evaluate()
         assert (PlatformClass.EMBEDDED, AttackCategory.REMOTE) in cells
-        assert PlatformClass.EMBEDDED in matrix.workloads
+        assert cells == remote.evaluate()
+        assert local.workloads == remote.workloads

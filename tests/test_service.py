@@ -103,9 +103,11 @@ def direct_payloads() -> dict[CellSpec, dict]:
 
 class TestJobSpec:
     def test_job_id_is_content_addressed_and_strategy_blind(self):
+        # Job files written before the strategy flags were removed still
+        # carry them; they are ignored and do not change the job id.
         a = small_job()
-        b = JobSpec(seed=a.seed, knobs=a.knobs, platforms=a.platforms,
-                    categories=a.categories, ensemble=True, batch=True)
+        b = JobSpec.from_dict({**a.to_dict(), "ensemble": True,
+                               "batch": True})
         assert a.job_id == b.job_id
         assert a.job_id != small_job(platforms=("mobile",)).job_id
 
@@ -133,6 +135,14 @@ class TestJobSpec:
     def test_matrix_quick_is_the_fifteen_cell_grid(self):
         assert len(JobSpec.matrix(quick=True).cells()) == 15
 
+    def test_unknown_knob_rejected_by_name(self):
+        with pytest.raises(ValueError, match="bogus_knob"):
+            JobSpec(knobs=(("bogus_knob", 1),))
+        data = small_job().to_dict()
+        data["knobs"].append(["bogus_knob", 1])
+        with pytest.raises(ValueError, match="bogus_knob"):
+            JobSpec.from_dict(data)
+
 
 # ---------------------------------------------------------------------------
 # JobQueue: submission, quarantine, failure records
@@ -158,6 +168,36 @@ class TestJobQueue:
         # A re-submission heals the queue.
         queue.submit(job)
         assert queue.job_ids() == [job.job_id]
+
+    def test_job_file_with_retired_knobs_is_quarantined(self, queue, cache):
+        # A job file as written by v1.9.0, whose knobs still sized the
+        # removed kernel sweep: it must be quarantined on load, not
+        # handed to a worker whose every cell would then fail.
+        legacy = {
+            "schema": "repro-service-job/1",
+            "job_id": "job-b50a85e415f0b2f8",
+            "seed": 8217,
+            "knobs": [["fr_samples", 12], ["fr_values", 8],
+                      ["rsa_bits", 64], ["secret_len", 4],
+                      ["sweep_instances", 12], ["sweep_iters", 48],
+                      ["timing_bits", 8], ["timing_samples", 600],
+                      ["traces", 300]],
+            "platforms": ["server-desktop"],
+            "categories": ["remote", "workload"],
+            "ensemble": False,
+            "batch": False,
+        }
+        with pytest.raises(ValueError, match="sweep_instances"):
+            JobSpec.from_dict(legacy)
+        queue.jobs_dir.mkdir(parents=True)
+        queue.job_path(legacy["job_id"]).write_text(json.dumps(legacy))
+        assert queue.load(legacy["job_id"]) is None
+        assert queue.job_ids() == []
+        assert queue.torn_jobs_quarantined == 1
+        assert list(queue.jobs_dir.glob("*.torn"))
+        stats = make_worker(queue, cache).run_until_drained()
+        assert stats.cells_computed == 0
+        assert stats.cells_failed == 0
 
     def test_failure_records_roundtrip(self, queue):
         record = {"status": "crashed", "attempts": 3, "error": "boom"}

@@ -85,8 +85,8 @@ def test_lease_wreckage_reaped_and_payloads_identical(
 
     # The fault draws hash cache keys, which are version-salted — a
     # repro.__version__ bump reshuffles them, so the seed is re-picked
-    # whenever the species assertion below goes thin (v1.9.0: seed 4
-    # plants 12 faults across all three species).
+    # whenever the species assertion below goes thin (v1.10.0: seed 4
+    # plants 7 faults across all three species).
     config = HostChaosConfig(lease_rate=0.45, seed=4)
     planted = seed_lease_faults(queue, job, config)
     floor = int(FAULT_FLOOR * len(job.cells()))

@@ -14,9 +14,14 @@ test:
 bench:
 	$(PYTHON) benchmarks/record_baseline.py
 
-## Differential equivalence suite: fast engine vs reference interpreter.
+## Differential equivalence suites: every fast path against its retained
+## reference oracle (CPU engine vs reference interpreter, batched attack
+## kernels vs scalar attacks, batched vs scalar power instrument, memoized
+## vs reference speculation explorer).
 diff:
-	$(PYTHON) -m pytest -q tests/test_differential.py
+	$(PYTHON) -m pytest -q tests/test_differential.py \
+		tests/test_attack_differential.py tests/test_power_differential.py \
+		tests/test_spec_memo.py
 
 ## Quick evaluation matrix (Figure 1) from the CLI.
 matrix:

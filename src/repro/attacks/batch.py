@@ -1,12 +1,11 @@
 """Batched attack kernels: vectorized twins of the scalar attack suites.
 
 The scalar cache side-channel attacks (:mod:`repro.attacks.cache_sca`)
-step the live :class:`~repro.cache.hierarchy.CacheHierarchy` once per
-(sample, line) through several layers of Python (``AttackerProcess`` →
-``CacheHierarchy.access`` → ``Cache.access`` → policy objects), and the
-Kocher timing attack re-simulates modexp prefix timing sample-by-sample
-with two redundant big-int multiplications per modelled one.  These
-kernels run the *same* experiments in array form:
+interpret the T-table cipher lookup by lookup and route every probe
+through ``AttackerProcess`` and the victim's core, and the Kocher timing
+attack re-simulates modexp prefix timing sample-by-sample with two
+redundant big-int multiplications per modelled one.  These kernels run
+the *same* experiments in array form:
 
 * plaintexts are pre-drawn with :meth:`XorShiftRNG.u64_block` (the RNG
   stream and end state are bit-identical to the scalar per-sample
@@ -14,12 +13,12 @@ kernels run the *same* experiments in array form:
 * the victim's full 160-lookup T-table access stream per encryption is
   derived with the numpy round-state recurrence from
   :mod:`repro.crypto.aes_batch` instead of interpreting the cipher;
-* cache-state transitions run in a dedicated flat simulator
-  (:class:`_SimHierarchy`) that is snapshot-initialized from the live
-  caches, replays every event with the exact ``Cache.access`` /
-  ``LRUPolicy`` / inclusive back-invalidation semantics, and writes the
-  final state (lines, tags, LRU stamps, stats counters) back so the live
-  hierarchy ends bit-identical to the scalar attack;
+* every cache event goes straight to the live
+  :class:`~repro.cache.hierarchy.CacheHierarchy` (``access`` /
+  ``flush_line``) in the scalar attack's order, so partitions,
+  randomised index functions and LLC exclusions behave exactly as they
+  do for the scalar attack; the victim's core, bus and MMU bookkeeping
+  is replayed once at the end;
 * the Kocher measured/lookahead phases share one reduced product per
   modelled multiplication instead of recomputing it for the timing model
   and the value update separately.
@@ -29,8 +28,7 @@ scalar attack exactly — recovered keys, scores, RNG end states, cache
 contents, replacement state, per-level stats, bus transaction counts,
 core cycle/energy accounting — or refuses to run (``None`` from
 :func:`try_run_batched`), in which case the caller falls back to the
-scalar oracle.  The gates are deliberately type-exact: custom policies,
-partitions, randomized index functions, LLC exclusions, bus controllers
+scalar oracle.  The gates are deliberately type-exact: bus controllers
 / snoopers / transforms, non-identity MMU roots, hooked ciphers and
 subclassed RNGs all fall back.  ``tests/test_attack_differential.py``
 holds the hypothesis differential suite proving the equivalence.
@@ -44,9 +42,6 @@ import repro.obs as obs
 from repro.arch.base import AES_KEY_OFFSET, AES_TABLE_STRIDE, AESVictim
 from repro.arch.null import NullArchitecture
 from repro.attacks.base import AttackerProcess
-from repro.cache.cache import Cache, _Line
-from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.policies import LRUPolicy
 from repro.cpu.core import Core
 from repro.cpu.speculative import SpeculativeCore
 from repro.crypto.aes import TTableAES
@@ -69,195 +64,8 @@ _DICT_HEADROOM = 1024
 
 
 # ---------------------------------------------------------------------------
-# Exact-twin cache hierarchy simulator
+# Gates: batch only what the kernels replay exactly
 # ---------------------------------------------------------------------------
-
-
-class _SimLevel:
-    """Flat mirror of one :class:`Cache` level (LRU, unpartitioned).
-
-    State per set: a ``tag -> way`` dict for O(1) hit checks (tags are
-    unique within a set, so this is equivalent to ``list.index``), the
-    tag list itself (preserving ``tags.index(None)`` first-free order),
-    mutable ``[tag, addr, domain, dirty]`` line records, and the LRU
-    stamp/last-use arrays with scalar-identical update order.
-    """
-
-    __slots__ = ("num_sets", "ways", "line_size", "lookup", "tags",
-                 "lines", "stamps", "last_use", "hits", "misses",
-                 "evictions", "flushes")
-
-    def __init__(self, cache: Cache) -> None:
-        self.num_sets = cache.num_sets
-        self.ways = cache.ways
-        self.line_size = cache.line_size
-        self.tags = [list(ts) for ts in cache._tags]
-        self.lookup = [{t: w for w, t in enumerate(ts) if t is not None}
-                       for ts in cache._tags]
-        self.lines = [[None if ln is None
-                       else [ln.tag, ln.addr, ln.domain, ln.dirty]
-                       for ln in ways]
-                      for ways in cache._sets]
-        self.stamps = [p._stamp for p in cache._policies]
-        self.last_use = [list(p._last_use) for p in cache._policies]
-        stats = cache.stats
-        self.hits = stats.hits
-        self.misses = stats.misses
-        self.evictions = stats.evictions
-        self.flushes = stats.flushes
-
-    def writeback(self, cache: Cache) -> None:
-        """Restore the live cache to this (final) state, recycling
-        ``_Line`` records in place exactly like the scalar hot path."""
-        sets, tags = cache._sets, cache._tags
-        for idx in range(self.num_sets):
-            live_ways, live_tags = sets[idx], tags[idx]
-            sim_lines = self.lines[idx]
-            for w in range(self.ways):
-                rec = sim_lines[w]
-                if rec is None:
-                    live_ways[w] = None
-                    live_tags[w] = None
-                    continue
-                line = live_ways[w]
-                if line is None:
-                    live_ways[w] = _Line(tag=rec[0], addr=rec[1],
-                                         domain=rec[2], dirty=rec[3])
-                else:
-                    line.tag, line.addr = rec[0], rec[1]
-                    line.domain, line.dirty = rec[2], rec[3]
-                live_tags[w] = rec[0]
-            policy = cache._policies[idx]
-            policy._stamp = self.stamps[idx]
-            policy._last_use[:] = self.last_use[idx]
-        stats = cache.stats
-        stats.hits = self.hits
-        stats.misses = self.misses
-        stats.evictions = self.evictions
-        stats.flushes = self.flushes
-
-
-class _SimHierarchy:
-    """Exact twin of ``CacheHierarchy.access``/``flush_line`` over
-    :class:`_SimLevel` arrays, keyed by line tag (``paddr >> shift``)."""
-
-    __slots__ = ("l1s", "l2", "lat_l1", "lat_l1_l2", "lat_full", "shift",
-                 "_hierarchy")
-
-    def __init__(self, hierarchy: CacheHierarchy) -> None:
-        self._hierarchy = hierarchy
-        cfg = hierarchy.config
-        self.l1s = [_SimLevel(l1) for l1 in hierarchy.l1s]
-        self.l2 = _SimLevel(hierarchy.l2)
-        self.lat_l1 = cfg.l1_latency
-        self.lat_l1_l2 = cfg.l1_latency + cfg.l2_latency
-        self.lat_full = cfg.l1_latency + cfg.l2_latency + cfg.dram_latency
-        self.shift = cfg.line_size.bit_length() - 1
-
-    # -- one cache level -----------------------------------------------------
-
-    @staticmethod
-    def _level_access(lv: _SimLevel, tag: int, domain,
-                      is_write: bool) -> tuple[bool, int | None]:
-        """(hit, evicted_line_addr) — the scalar ``Cache.access``."""
-        idx = tag % lv.num_sets
-        look = lv.lookup[idx]
-        way = look.get(tag)
-        if way is not None:
-            lv.hits += 1
-            stamp = lv.stamps[idx] + 1
-            lv.stamps[idx] = stamp
-            lv.last_use[idx][way] = stamp
-            if is_write:
-                lv.lines[idx][way][3] = True
-            return True, None
-        lv.misses += 1
-        tags = lv.tags[idx]
-        try:
-            way = tags.index(None)
-        except ValueError:
-            lu = lv.last_use[idx]
-            way = lu.index(min(lu))
-        old = lv.lines[idx][way]
-        tags[way] = tag
-        look[tag] = way
-        stamp = lv.stamps[idx] + 1
-        lv.stamps[idx] = stamp
-        lv.last_use[idx][way] = stamp
-        addr = tag * lv.line_size
-        if old is None:
-            lv.lines[idx][way] = [tag, addr, domain, is_write]
-            return False, None
-        evicted = old[1]
-        del look[old[0]]
-        old[0], old[1], old[2], old[3] = tag, addr, domain, is_write
-        lv.evictions += 1
-        return False, evicted
-
-    @staticmethod
-    def _level_flush(lv: _SimLevel, tag: int) -> bool:
-        idx = tag % lv.num_sets
-        way = lv.lookup[idx].pop(tag, None)
-        if way is None:
-            return False
-        lv.lines[idx][way] = None
-        lv.tags[idx][way] = None
-        lv.flushes += 1
-        return True
-
-    # -- hierarchy operations -------------------------------------------------
-
-    def access(self, core: int, tag: int, domain=None,
-               is_write: bool = False) -> int:
-        """Serve one (cacheable) access; returns its latency."""
-        hit, _ = self._level_access(self.l1s[core], tag, domain, is_write)
-        if hit:
-            return self.lat_l1
-        hit, l2_evicted = self._level_access(self.l2, tag, domain, is_write)
-        if hit:
-            return self.lat_l1_l2
-        if l2_evicted is not None:
-            # Inclusive LLC: the victim line leaves every L1, in L1 order.
-            ev_tag = l2_evicted >> self.shift
-            for l1 in self.l1s:
-                self._level_flush(l1, ev_tag)
-        return self.lat_full
-
-    def flush_line(self, tag: int) -> bool:
-        """clflush across every level (the attacker's ``flush``)."""
-        found = False
-        for l1 in self.l1s:
-            found |= self._level_flush(l1, tag)
-        found |= self._level_flush(self.l2, tag)
-        return found
-
-    def writeback(self) -> None:
-        """Restore the live hierarchy to the simulator's final state."""
-        for lv, cache in zip(self.l1s, self._hierarchy.l1s):
-            lv.writeback(cache)
-        self.l2.writeback(self._hierarchy.l2)
-
-
-# ---------------------------------------------------------------------------
-# Gates: batch only what the simulator models exactly
-# ---------------------------------------------------------------------------
-
-
-def _hierarchy_batchable(hierarchy) -> bool:
-    if type(hierarchy) is not CacheHierarchy:
-        return False
-    if hierarchy._llc_excluded:
-        return False
-    for cache in (*hierarchy.l1s, hierarchy.l2):
-        if type(cache) is not Cache:
-            return False
-        if cache.partition is not None or cache.index_fn is not None:
-            return False
-        if any(type(p) is not LRUPolicy for p in cache._policies):
-            return False
-        if cache.line_size != hierarchy.config.line_size:
-            return False
-    return True
 
 
 def _bus_batchable(bus) -> bool:
@@ -329,9 +137,10 @@ def _victim_batchable(victim, attacker) -> bool:
 
 
 class _VictimModel:
-    """Drives the simulator with a victim's exact access stream and
-    replays the bookkeeping (`encryptions`, core cycles/energy, bus
-    transactions, MMU identity cache, speculative L1 view) at the end.
+    """Drives the live hierarchy with a victim's exact access stream and
+    replays the rest of the bookkeeping (`encryptions`, core cycles/
+    energy, bus transactions, MMU identity cache, speculative L1 view) at
+    the end.
 
     Two shapes are supported, matching the two victims the scalar
     attacks accept:
@@ -344,34 +153,34 @@ class _VictimModel:
       charge + L1-view note), enclave enter/exit being a domain no-op.
     """
 
-    def __init__(self, victim, sim: _SimHierarchy, soc) -> None:
+    def __init__(self, victim, soc) -> None:
         self.victim = victim
-        self.sim = sim
         self.soc = soc
+        self.access = soc.hierarchy.access
         self.encrypts = 0
         self.is_enclave = type(victim) is AESVictim
-        self.shift = sim.shift
         if self.is_enclave:
             handle = victim.handle
             self.base = handle.base
+            self.core_id = handle.core_id
+            self.domain = None
             self.core = soc.cores[handle.core_id]
             mmu = soc.mmus[handle.core_id]
             self.mmu = mmu
             self.tlb_lat = (mmu.tlb.access_latency(True)
                             if mmu.tlb is not None else 0)
-            key_line = (self.base + AES_KEY_OFFSET) >> self.shift
-            self.key_tags = (key_line,
-                             (self.base + AES_KEY_OFFSET + 8) >> self.shift)
+            self.key_addrs = (self.base + AES_KEY_OFFSET,
+                              self.base + AES_KEY_OFFSET + 8)
             self.word_offsets: set[int] = {AES_KEY_OFFSET,
                                            AES_KEY_OFFSET + 8}
             self.cycles = 0
         else:
             self.base = victim.table_paddr
-            self.vcore = victim.core_id
-            self.vdomain = victim.domain
+            self.core_id = victim.core_id
+            self.domain = victim.domain
 
-    def lookup_tags(self, plaintexts: np.ndarray) -> list[list[int]]:
-        """Per-sample line-tag streams of the victim's 160 T-table
+    def lookup_addrs(self, plaintexts: np.ndarray) -> list[list[int]]:
+        """Per-sample physical addresses of the victim's 160 T-table
         lookups, via the numpy round-state recurrence.
 
         Round-entry state ``E_1 = pt ^ rk0``; lookup ``j`` of round ``r``
@@ -381,8 +190,7 @@ class _VictimModel:
         """
         n = plaintexts.shape[0]
         rk = _round_key_matrix(self.victim._cipher.round_keys)
-        base, shift = self.base, self.shift
-        tags = np.empty((n, 160), dtype=np.int64)
+        addrs = np.empty((n, 160), dtype=np.int64)
         round_tables = np.array([j % 4 for j in range(16)],
                                 dtype=np.int64) * AES_TABLE_STRIDE
         final_tables = np.full(16, 4 * AES_TABLE_STRIDE, dtype=np.int64)
@@ -394,30 +202,28 @@ class _VictimModel:
             # enclave masks the offset, the service masks the (64-
             # aligned) table base plus offset — identical addresses.
             aligned = (offs[np.newaxis, :] + idx * 4) & ~7
-            tags[:, (rnd - 1) * 16:rnd * 16] = (base + aligned) >> shift
+            addrs[:, (rnd - 1) * 16:rnd * 16] = self.base + aligned
             if self.is_enclave and n:
                 self.word_offsets.update(np.unique(aligned).tolist())
             if rnd < 10:
                 sub = SBOX_TABLE[state]
                 state = _mix_columns(sub[:, _SHIFT_ROWS]) ^ rk[rnd]
-        return tags.tolist()
+        return addrs.tolist()
 
-    def encrypt(self, tag_row: list[int]) -> int:
-        """Replay one encryption's cache events; returns the victim
+    def encrypt(self, addr_row: list[int]) -> int:
+        """Run one encryption's cache accesses; returns the victim
         core's cycle delta (0 for the bare service victim)."""
         self.encrypts += 1
-        sim_access = self.sim.access
+        access, core_id, domain = self.access, self.core_id, self.domain
         if not self.is_enclave:
-            vcore, vdomain = self.vcore, self.vdomain
-            for tag in tag_row:
-                sim_access(vcore, tag, vdomain)
+            for paddr in addr_row:
+                access(core_id, paddr, False, domain)
             return 0
-        core_id = self.victim.handle.core_id
-        k1, k2 = self.key_tags
-        latency = sim_access(core_id, k1, None)
-        latency += sim_access(core_id, k2, None)
-        for tag in tag_row:
-            latency += sim_access(core_id, tag, None)
+        k1, k2 = self.key_addrs
+        latency = (access(core_id, k1, False, domain).latency
+                   + access(core_id, k2, False, domain).latency)
+        for paddr in addr_row:
+            latency += access(core_id, paddr, False, domain).latency
         cycles = latency + 162 * self.tlb_lat
         self.cycles += cycles
         return cycles
@@ -444,32 +250,6 @@ class _VictimModel:
             if view is not None:
                 view[va] = int.from_bytes(memory.read_bytes(va, 8),
                                           "little")
-
-
-class _AttackerModel:
-    """The attacker's primitives over the simulator + bus accounting."""
-
-    __slots__ = ("sim", "core_id", "domain", "threshold", "txns")
-
-    def __init__(self, attacker: AttackerProcess, sim: _SimHierarchy) -> None:
-        self.sim = sim
-        self.core_id = attacker.core_id
-        self.domain = attacker.domain
-        self.threshold = attacker.hit_threshold
-        self.txns = 0
-
-    def timed_read(self, tag: int) -> int:
-        self.txns += 1  # the bus read of the scalar ``timed_read``
-        return self.sim.access(self.core_id, tag, self.domain)
-
-    def touch(self, tag: int) -> None:
-        self.sim.access(self.core_id, tag, self.domain)
-
-    def flush(self, tag: int) -> None:
-        self.sim.flush_line(tag)
-
-    def finalize(self, bus) -> None:
-        bus.transaction_count += self.txns
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +290,9 @@ def _cache_gates(attack) -> bool:
     if type(attack.rng) is not XorShiftRNG:
         return False
     soc = attacker.soc
-    hierarchy = soc.hierarchy
-    if not _hierarchy_batchable(hierarchy):
-        return False
     if not _bus_batchable(soc.bus):
         return False
-    if not 0 <= attacker.core_id < len(hierarchy.l1s):
+    if not 0 <= attacker.core_id < len(soc.hierarchy.l1s):
         return False
     if not _victim_batchable(attack.victim, attacker):
         return False
@@ -529,20 +306,11 @@ def _cache_gates(attack) -> bool:
     return True
 
 
-def _build_models(attack):
-    """Snapshot the live hierarchy and build the event models.  Call
-    only after :func:`_cache_gates` passed (and after any live
-    preconditions ran, so the snapshot captures their effects)."""
-    attacker = attack.attacker
-    sim = _SimHierarchy(attacker.soc.hierarchy)
-    model = _VictimModel(attack.victim, sim, attacker.soc)
-    return sim, model, _AttackerModel(attacker, sim)
-
-
-def _finalize_cache_run(attack, sim, model, att):
-    sim.writeback()
+def _finalize_cache_run(attack, model: _VictimModel, timed_reads: int) -> None:
+    """Victim bookkeeping plus the bus reads of the attacker's
+    ``timed_read`` calls."""
     model.finalize()
-    att.finalize(attack.attacker.soc.bus)
+    attack.attacker.soc.bus.transaction_count += timed_reads
 
 
 def _run_prime_probe(attack):
@@ -555,12 +323,16 @@ def _run_prime_probe(attack):
     )
     if not _cache_gates(attack):
         return None
-    sim, model, att = _build_models(attack)
+    attacker = attack.attacker
+    model = _VictimModel(attack.victim, attacker.soc)
+    access = attacker.soc.hierarchy.access
+    core, domain = attacker.core_id, attacker.domain
+    threshold = attacker.hit_threshold
     cfg = attack.config
-    shift = sim.shift
     span = obs.span
     recovered: dict[int, int] = {}
     coverage = 0.0
+    timed_reads = 0
     for target_byte in cfg.target_bytes:
         with span("prime+probe:byte", cat="attack", byte=target_byte):
             table = BYTE_TO_TABLE[target_byte]
@@ -572,34 +344,32 @@ def _run_prime_probe(attack):
                 obs.event("prime+probe.blocked", cat="attack",
                           byte=target_byte, covered=covered)
                 continue
-            ev_tags = [[addr >> shift for addr in addrs]
-                       for addrs in eviction]
             values = _plaintext_nibbles(cfg)
             samples = cfg.samples_per_value
             pts = _draw_plaintexts(attack.rng, len(values) * samples,
                                    target_byte, values)
-            tag_rows = model.lookup_tags(pts)
+            addr_rows = model.lookup_addrs(pts)
             counts = np.zeros((len(values), LINES_PER_TABLE))
-            touch, timed_read = att.touch, att.timed_read
-            threshold = att.threshold
             row = 0
             for vi in range(len(values)):
                 crow = counts[vi]
                 for _ in range(samples):
-                    for tags in ev_tags:
-                        for tag in tags:
-                            touch(tag)
-                    model.encrypt(tag_rows[row])
+                    for addrs in eviction:
+                        for addr in addrs:
+                            access(core, addr, False, domain)
+                    model.encrypt(addr_rows[row])
                     row += 1
-                    for li, tags in enumerate(ev_tags):
+                    for li, addrs in enumerate(eviction):
                         displaced = 0
-                        for tag in tags:
-                            if timed_read(tag) > threshold:
+                        for addr in addrs:
+                            if access(core, addr, False,
+                                      domain).latency > threshold:
                                 displaced += 1
                         crow[li] += displaced
+            timed_reads += row * sum(len(addrs) for addrs in eviction)
             recovered[target_byte] = _best_nibble(values, counts)
 
-    _finalize_cache_run(attack, sim, model, att)
+    _finalize_cache_run(attack, model, timed_reads)
     score = _grade(recovered, attack.victim.key)
     from repro.attacks.base import AttackCategory, AttackResult
     return AttackResult(
@@ -615,7 +385,6 @@ def _run_flush_reload(attack):
     from repro.attacks.base import AttackCategory, AttackResult
     from repro.attacks.cache_sca import (
         BYTE_TO_TABLE,
-        LINE_SIZE,
         LINES_PER_TABLE,
         _best_nibble,
         _grade,
@@ -624,12 +393,12 @@ def _run_flush_reload(attack):
     if not _cache_gates(attack):
         return None
     cfg = attack.config
-    base = attack.victim.table_paddr
+    attacker = attack.attacker
     # The attacker's timed reloads go through the bus; the monitored
     # table lines must decode to plain memory (the enclave-range gate
     # covers this for AESVictim, but the shared service's tables live
     # wherever ``table_paddr`` points).
-    regions = attack.attacker.soc.regions
+    regions = attacker.soc.regions
     lo = attack._line_paddr(0, 0)
     hi = attack._line_paddr(4, LINES_PER_TABLE - 1)
     if not (_region_ok(regions, lo) and _region_ok(regions, hi)
@@ -637,7 +406,7 @@ def _run_flush_reload(attack):
         return None
     # Precondition probe, run live (scalar-identical side effects) —
     # only after the gates passed, so a fallback never double-runs it.
-    ok, _ = attack.attacker.try_read(lo)
+    ok, _ = attacker.try_read(lo)
     if not ok:
         return AttackResult(
             name=attack.NAME,
@@ -645,39 +414,41 @@ def _run_flush_reload(attack):
             success=False, score=0.0,
             details={"blocked": "victim memory not attacker-addressable"})
 
-    # Snapshot only now, so the live try_read's cache effects are in.
-    sim, model, att = _build_models(attack)
-    shift = sim.shift
+    model = _VictimModel(attack.victim, attacker.soc)
+    hierarchy = attacker.soc.hierarchy
+    access, flush = hierarchy.access, hierarchy.flush_line
+    core, domain = attacker.core_id, attacker.domain
+    threshold = attacker.hit_threshold
     span = obs.span
     recovered: dict[int, int] = {}
+    timed_reads = 0
     for target_byte in cfg.target_bytes:
         with span("flush+reload:byte", cat="attack", byte=target_byte):
             table = BYTE_TO_TABLE[target_byte]
-            line_tags = [(base + table * AES_TABLE_STRIDE
-                          + line * LINE_SIZE) >> shift
-                         for line in range(LINES_PER_TABLE)]
+            lines = [attack._line_paddr(table, line)
+                     for line in range(LINES_PER_TABLE)]
             values = _plaintext_nibbles(cfg)
             samples = cfg.samples_per_value
             pts = _draw_plaintexts(attack.rng, len(values) * samples,
                                    target_byte, values)
-            tag_rows = model.lookup_tags(pts)
+            addr_rows = model.lookup_addrs(pts)
             counts = np.zeros((len(values), LINES_PER_TABLE))
-            flush, timed_read = att.flush, att.timed_read
-            threshold = att.threshold
             row = 0
             for vi in range(len(values)):
                 crow = counts[vi]
                 for _ in range(samples):
-                    for tag in line_tags:
-                        flush(tag)
-                    model.encrypt(tag_rows[row])
+                    for paddr in lines:
+                        flush(paddr)
+                    model.encrypt(addr_rows[row])
                     row += 1
-                    for li, tag in enumerate(line_tags):
-                        if timed_read(tag) <= threshold:
+                    for li, paddr in enumerate(lines):
+                        if access(core, paddr, False,
+                                  domain).latency <= threshold:
                             crow[li] += 1.0
+            timed_reads += row * LINES_PER_TABLE
             recovered[target_byte] = _best_nibble(values, counts)
 
-    _finalize_cache_run(attack, sim, model, att)
+    _finalize_cache_run(attack, model, timed_reads)
     score = _grade(recovered, attack.victim.key)
     return AttackResult(
         name=attack.NAME, category=AttackCategory.MICROARCHITECTURAL,
@@ -701,10 +472,12 @@ def _run_evict_time(attack):
         return None
     if not _cache_gates(attack):
         return None
-    sim, model, att = _build_models(attack)
+    attacker = attack.attacker
+    model = _VictimModel(attack.victim, attacker.soc)
+    access = attacker.soc.hierarchy.access
+    core, domain = attacker.core_id, attacker.domain
     cfg = attack.config
-    shift = sim.shift
-    llc = attack.attacker.soc.hierarchy.l2
+    llc = attacker.soc.hierarchy.l2
     recovered: dict[int, int] = {}
     for target_byte in cfg.target_bytes:
         table = BYTE_TO_TABLE[target_byte]
@@ -712,33 +485,31 @@ def _run_evict_time(attack):
         for line in range(LINES_PER_TABLE):
             paddr = attack.victim.table_paddr \
                 + table * AES_TABLE_STRIDE + line * LINE_SIZE
-            eviction.append(attack.attacker.eviction_addresses_for_set(
+            eviction.append(attacker.eviction_addresses_for_set(
                 llc.set_index(paddr), attack._ways))
         if any(len(addrs) < attack._ways for addrs in eviction):
             continue  # defence: sets unreachable
-        ev_tags = [[addr >> shift for addr in addrs] for addrs in eviction]
         values = _plaintext_nibbles(cfg)
         samples = cfg.samples_per_value
         pts = _draw_plaintexts(
             attack.rng, len(values) * LINES_PER_TABLE * samples,
             target_byte, values)
-        tag_rows = model.lookup_tags(pts)
+        addr_rows = model.lookup_addrs(pts)
         times = np.zeros((len(values), LINES_PER_TABLE))
-        touch = att.touch
         row = 0
         for vi in range(len(values)):
             for line in range(LINES_PER_TABLE):
                 total = 0
-                tags = ev_tags[line]
+                addrs = eviction[line]
                 for _ in range(samples):
-                    for tag in tags:
-                        touch(tag)
-                    total += model.encrypt(tag_rows[row])
+                    for addr in addrs:
+                        access(core, addr, False, domain)
+                    total += model.encrypt(addr_rows[row])
                     row += 1
                 times[vi, line] += total
         recovered[target_byte] = _best_nibble(values, times)
 
-    _finalize_cache_run(attack, sim, model, att)
+    _finalize_cache_run(attack, model, 0)
     score = _grade(recovered, attack.victim.key)
     return AttackResult(
         name=attack.NAME, category=AttackCategory.MICROARCHITECTURAL,

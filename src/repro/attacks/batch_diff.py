@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arch.base import AES_TABLE_STRIDE
 from repro.arch.null import NullArchitecture
 from repro.attacks import batch
 from repro.attacks.base import AttackerProcess
@@ -37,6 +38,8 @@ from repro.attacks.cache_sca import (
     _CacheAttackConfig,
 )
 from repro.attacks.timing import KocherTimingAttack
+from repro.cache.partition import WayPartition
+from repro.cache.randmap import RandomizedIndexing
 from repro.cpu.soc import make_embedded_soc, make_mobile_soc, make_server_soc
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA, generate_rsa_key
@@ -59,6 +62,30 @@ _CACHE_ATTACKS = {
 }
 
 
+#: LLC defences a scenario can install before the attack runs.
+DEFENCES = ("none", "partition", "randomized", "exclude")
+
+
+def _install_defence(defence: str, soc, victim, attacker, key: int) -> None:
+    llc = soc.hierarchy.l2
+    if defence == "partition":
+        # The attacker gets the lower half of the LLC ways and everyone
+        # else (the victim included) the rest; a 1-way LLC cannot be
+        # split, so there the two masks overlap.
+        low = (1 << max(llc.ways // 2, 1)) - 1
+        partition = WayPartition(
+            llc.ways, default_mask=((1 << llc.ways) - 1) & ~low or low)
+        partition.assign(attacker.domain, low)
+        llc.partition = partition
+    elif defence == "randomized":
+        llc.index_fn = RandomizedIndexing(key, line_size=llc.line_size)
+    elif defence == "exclude":
+        soc.hierarchy.exclude_from_llc(victim.table_paddr,
+                                       5 * AES_TABLE_STRIDE)
+    elif defence != "none":
+        raise ValueError(f"unknown defence {defence!r}")
+
+
 @dataclass(frozen=True)
 class CacheScenario:
     """One cache-SCA configuration, replayable on either path."""
@@ -71,6 +98,7 @@ class CacheScenario:
     plaintext_values: int = 4
     target_bytes: tuple[int, ...] = (0, 5)
     victim_core: int = 0
+    defence: str = "none"  # one of DEFENCES
 
     def build(self):
         """Fresh (attack, rng, soc) triple; deterministic in ``self``."""
@@ -85,6 +113,7 @@ class CacheScenario:
             victim = SharedAESService(soc, key, core_id=self.victim_core)
         attacker = AttackerProcess(
             arch, core_id=min(1, len(soc.cores) - 1))
+        _install_defence(self.defence, soc, victim, attacker, self.seed)
         config = _CacheAttackConfig(
             samples_per_value=self.samples_per_value,
             plaintext_values=self.plaintext_values,
@@ -123,11 +152,10 @@ def soc_state(soc) -> tuple:
     for cache in (*soc.hierarchy.l1s, soc.hierarchy.l2):
         stats = cache.stats
         levels.append((
-            [list(ts) for ts in cache._tags],
-            [[None if ln is None
-              else (ln.tag, ln.addr, ln.domain, ln.dirty) for ln in ways]
-             for ways in cache._sets],
-            [(p._stamp, tuple(p._last_use)) for p in cache._policies],
+            [[list(ways) for ways in per_set]
+             for per_set in (cache._tags, cache._domains, cache._dirty,
+                             cache._last_use)],
+            cache._clock,
             (stats.hits, stats.misses, stats.evictions, stats.flushes)))
     cores = [(core.cycles, core.energy_pj, core.domain, core.instret,
               dict(getattr(core, "_l1_view", {}) or {}))

@@ -5,8 +5,8 @@ structures.  The models are behavioural but cycle-attributed: an access
 returns which level hit and a latency, which is exactly the signal
 Evict+Time / Prime+Probe / Flush+Reload quantify.
 
-* :class:`Cache` — physically-indexed set-associative cache with pluggable
-  replacement and index functions.
+* :class:`Cache` — physically-indexed set-associative LRU cache with a
+  pluggable index function.
 * :class:`CacheHierarchy` — per-core L1s over a shared last-level cache,
   with the defences the paper contrasts: way partitioning [39], randomised
   index mapping [40], page colouring (Sanctum), and cache exclusion
@@ -15,13 +15,6 @@ Evict+Time / Prime+Probe / Flush+Reload quantify.
   by the attacker and the victim can be exploited".
 """
 
-from repro.cache.policies import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    TreePLRUPolicy,
-)
 from repro.cache.cache import AccessResult, Cache, CacheStats
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, MemoryAccess
 from repro.cache.tlb import TLB
@@ -35,15 +28,10 @@ __all__ = [
     "Cache",
     "CacheHierarchy",
     "CacheStats",
-    "FIFOPolicy",
     "HierarchyConfig",
-    "LRUPolicy",
     "MemoryAccess",
-    "RandomPolicy",
     "RandomizedIndexing",
-    "ReplacementPolicy",
     "TLB",
-    "TreePLRUPolicy",
     "WayPartition",
     "color_of",
     "frames_of_color",

@@ -1,11 +1,9 @@
-"""Physically-indexed, physically-tagged set-associative cache."""
+"""Physically-indexed, physically-tagged set-associative LRU cache."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-from repro.cache.policies import LRUPolicy, ReplacementPolicy
+from typing import Callable, NamedTuple
 
 #: Signature for custom set-index functions (randomised mapping).
 IndexFn = Callable[[int], int]
@@ -29,27 +27,17 @@ class CacheStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one cache access."""
 
     hit: bool
     set_index: int
     latency: int
     evicted: int | None = None  # line base address displaced by this fill
-    filled: bool = True
-
-
-@dataclass
-class _Line:
-    tag: int
-    addr: int  # line base address (for eviction reporting / inclusion)
-    domain: str | None = None
-    dirty: bool = False
 
 
 class Cache:
-    """One cache level.
+    """One cache level with true-LRU replacement.
 
     Addresses are *physical*; the MMU translates before the hierarchy is
     consulted.  ``domain`` labels the security domain of each access
@@ -57,16 +45,22 @@ class Cache:
     installed via :attr:`partition` limits which ways a domain may fill —
     the paper's "cache partitioning" defence [39].  ``index_fn`` overrides
     the set-index computation — the "randomised mapping" defence [40].
+
+    State is held per set as parallel per-way lists — the line tag
+    (``tag = addr >> log2(line_size)``; ``None`` marks an invalid way),
+    the filling domain, the dirty bit and the LRU stamp — plus a
+    ``tag -> way`` dict for the lookup.  Stamps come from one cache-wide
+    clock, so within a set the least-recently-used line is the one with
+    the smallest stamp.
     """
 
     def __init__(self, name: str, num_sets: int, ways: int,
                  line_size: int = 64, hit_latency: int = 4,
-                 policy_factory: Callable[[int], ReplacementPolicy] = LRUPolicy,
                  index_fn: IndexFn | None = None) -> None:
         if num_sets <= 0 or ways <= 0:
             raise ValueError("num_sets and ways must be positive")
-        if line_size & (line_size - 1):
-            raise ValueError("line_size must be a power of two")
+        if line_size <= 0 or line_size & (line_size - 1):
+            raise ValueError("line_size must be a positive power of two")
         self.name = name
         self.num_sets = num_sets
         self.ways = ways
@@ -75,25 +69,20 @@ class Cache:
         self.index_fn = index_fn
         self.partition = None  # WayPartition | None
         self.stats = CacheStats()
-        self._sets: list[list[_Line | None]] = [
-            [None] * ways for _ in range(num_sets)]
-        #: Tag array mirroring ``_sets`` (``None`` = invalid way).  The hot
-        #: lookup scans this flat int list with ``list.index`` instead of
-        #: walking ``_Line`` objects.
+        self._shift = line_size.bit_length() - 1
+        self._lookup: list[dict[int, int]] = [{} for _ in range(num_sets)]
         self._tags: list[list[int | None]] = [
             [None] * ways for _ in range(num_sets)]
-        self._policies = [policy_factory(ways) for _ in range(num_sets)]
-        # Hot-path allocation avoidance: per-set-index AccessResult
-        # singletons (results are frozen, so sharing is safe even when a
-        # caller holds several across calls), plus reusable all-True /
-        # all-occupied vectors for the unpartitioned victim query.
+        self._domains: list[list[str | None]] = [
+            [None] * ways for _ in range(num_sets)]
+        self._dirty = [[False] * ways for _ in range(num_sets)]
+        self._last_use = [[0] * ways for _ in range(num_sets)]
+        self._clock = 0
+        # Results are immutable, so the hit and free-way-fill outcomes are
+        # per-set singletons, built on first use; only evicting fills
+        # allocate.
         self._hit_results: list[AccessResult | None] = [None] * num_sets
         self._fill_results: list[AccessResult | None] = [None] * num_sets
-        self._nofill_results: list[AccessResult | None] = [None] * num_sets
-        self._allowed_all = [True] * ways
-        self._occupied_full = [True] * ways
-        self._victim_full = [getattr(p, "victim_full", None)
-                             for p in self._policies]
 
     # -- geometry ------------------------------------------------------------
 
@@ -103,41 +92,28 @@ class Cache:
 
     def set_index(self, addr: int) -> int:
         """Set index for ``addr`` (honouring a custom index function)."""
-        line = addr // self.line_size
         if self.index_fn is not None:
             return self.index_fn(addr) % self.num_sets
-        return line % self.num_sets
-
-    def _tag(self, addr: int) -> int:
-        return addr // self.line_size
-
-    def _allowed_ways(self, domain: str | None) -> list[bool]:
-        if self.partition is None:
-            return [True] * self.ways
-        return self.partition.allowed_ways(domain, self.ways)
+        return (addr >> self._shift) % self.num_sets
 
     # -- operations ------------------------------------------------------------
 
     def access(self, addr: int, is_write: bool = False,
-               domain: str | None = None, fill: bool = True) -> AccessResult:
-        """Look up ``addr``; on miss, optionally fill (evicting a victim)."""
-        tag = addr // self.line_size
+               domain: str | None = None) -> AccessResult:
+        """Look up ``addr``; on a miss, fill it (evicting the LRU line)."""
+        tag = addr >> self._shift
         if self.index_fn is None:
             idx = tag % self.num_sets
         else:
             idx = self.index_fn(addr) % self.num_sets
-        tags = self._tags[idx]
-        policy = self._policies[idx]
-
-        try:
-            way = tags.index(tag)
-        except ValueError:
-            way = -1
-        if way >= 0:
+        lookup = self._lookup[idx]
+        way = lookup.get(tag)
+        self._clock = clock = self._clock + 1
+        if way is not None:
             self.stats.hits += 1
-            policy.on_hit(way)
+            self._last_use[idx][way] = clock
             if is_write:
-                self._sets[idx][way].dirty = True
+                self._dirty[idx][way] = True
             result = self._hit_results[idx]
             if result is None:
                 result = self._hit_results[idx] = AccessResult(
@@ -145,86 +121,77 @@ class Cache:
             return result
 
         self.stats.misses += 1
-        if not fill:
-            result = self._nofill_results[idx]
-            if result is None:
-                result = self._nofill_results[idx] = AccessResult(
-                    False, idx, self.hit_latency, filled=False)
-            return result
-
-        ways = self._sets[idx]
-        if self.partition is None:
-            # Unpartitioned fast path: every policy prefers the first free
-            # way (victim() returns _first_free when one exists), and with
-            # all ways allowed that is exactly ``tags.index(None)``.
-            try:
-                way = tags.index(None)
-            except ValueError:
-                vf = self._victim_full[idx]
-                way = vf() if vf is not None else policy.victim(
-                    self._occupied_full, self._allowed_all)
+        tags = self._tags[idx]
+        last_use = self._last_use[idx]
+        if self.partition is not None:
+            way = self._partitioned_victim(tags, last_use, domain)
+        elif len(lookup) < self.ways:
+            way = tags.index(None)
         else:
-            allowed = self.partition.allowed_ways(domain, self.ways)
-            occupied = [t is not None for t in tags]
-            way = policy.victim(occupied, allowed)
-        old = ways[way]
+            way = last_use.index(min(last_use))
+        old = tags[way]
         tags[way] = tag
+        lookup[tag] = way
+        last_use[way] = clock
+        self._domains[idx][way] = domain
+        self._dirty[idx][way] = is_write
         if old is None:
-            ways[way] = _Line(tag=tag, addr=addr & ~(self.line_size - 1),
-                              domain=domain, dirty=is_write)
-            policy.on_fill(way)
             result = self._fill_results[idx]
             if result is None:
                 result = self._fill_results[idx] = AccessResult(
                     False, idx, self.hit_latency)
             return result
-        # Evicting fill: recycle the line record (never exposed outside
-        # this class) instead of allocating a fresh one.
-        evicted = old.addr
-        old.tag = tag
-        old.addr = addr & ~(self.line_size - 1)
-        old.domain = domain
-        old.dirty = is_write
-        policy.on_fill(way)
+        del lookup[old]
         self.stats.evictions += 1
-        return AccessResult(False, idx, self.hit_latency, evicted=evicted)
+        return AccessResult(False, idx, self.hit_latency, old << self._shift)
+
+    def _partitioned_victim(self, tags: list[int | None],
+                            last_use: list[int], domain: str | None) -> int:
+        """First free way the partition allows ``domain``, else its LRU
+        allowed way."""
+        allowed = [way for way, ok in enumerate(
+            self.partition.allowed_ways(domain, self.ways)) if ok]
+        if not allowed:
+            raise ValueError("no way allowed for this domain")
+        for way in allowed:
+            if tags[way] is None:
+                return way
+        return min(allowed, key=last_use.__getitem__)
 
     def probe(self, addr: int) -> bool:
         """Presence check without touching replacement state."""
-        return self._tag(addr) in self._tags[self.set_index(addr)]
+        return (addr >> self._shift) in self._lookup[self.set_index(addr)]
 
     def flush_line(self, addr: int) -> bool:
         """Invalidate the line containing ``addr``; True if it was present."""
         idx = self.set_index(addr)
-        tags = self._tags[idx]
-        try:
-            way = tags.index(self._tag(addr))
-        except ValueError:
+        way = self._lookup[idx].pop(addr >> self._shift, None)
+        if way is None:
             return False
-        self._sets[idx][way] = None
-        tags[way] = None
+        self._tags[idx][way] = None
         self.stats.flushes += 1
         return True
 
     def flush_all(self) -> int:
         """Invalidate everything; returns the number of lines dropped."""
         count = 0
-        for ways, tags in zip(self._sets, self._tags):
-            for way, line in enumerate(ways):
-                if line is not None:
-                    ways[way] = None
+        for lookup, tags in zip(self._lookup, self._tags):
+            if lookup:
+                count += len(lookup)
+                for way in lookup.values():
                     tags[way] = None
-                    count += 1
+                lookup.clear()
         self.stats.flushes += count
         return count
 
     def flush_domain(self, domain: str | None) -> int:
         """Invalidate every line filled by ``domain`` (enclave exit flush)."""
         count = 0
-        for ways, tags in zip(self._sets, self._tags):
-            for way, line in enumerate(ways):
-                if line is not None and line.domain == domain:
-                    ways[way] = None
+        for lookup, tags, domains in zip(self._lookup, self._tags,
+                                         self._domains):
+            for tag, way in list(lookup.items()):
+                if domains[way] == domain:
+                    del lookup[tag]
                     tags[way] = None
                     count += 1
         self.stats.flushes += count
@@ -234,18 +201,15 @@ class Cache:
 
     def resident_lines(self) -> list[int]:
         """Base addresses of all valid lines (diagnostics/tests)."""
-        return [line.addr for ways in self._sets for line in ways
-                if line is not None]
+        return [tag << self._shift for tags in self._tags for tag in tags
+                if tag is not None]
 
     def set_occupancy(self, idx: int) -> int:
         """Number of valid lines in set ``idx``."""
-        return sum(1 for line in self._sets[idx] if line is not None)
+        return len(self._lookup[idx])
 
     def domain_of_line(self, addr: int) -> str | None:
         """Filling domain of the resident line containing ``addr``."""
         idx = self.set_index(addr)
-        tag = self._tag(addr)
-        for line in self._sets[idx]:
-            if line is not None and line.tag == tag:
-                return line.domain
-        return None
+        way = self._lookup[idx].get(addr >> self._shift)
+        return None if way is None else self._domains[idx][way]

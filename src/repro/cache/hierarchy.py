@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.cache import Cache
-from repro.cache.policies import LRUPolicy
 
 
 @dataclass(frozen=True)
@@ -48,12 +47,10 @@ class HierarchyConfig:
 
 @dataclass(frozen=True)
 class MemoryAccess:
-    """Where an access was served and what it cost/displaced."""
+    """Where an access was served and what it cost."""
 
     level: str  # "l1" | "l2" | "dram" | "uncached"
     latency: int
-    l1_evicted: int | None = None
-    l2_evicted: int | None = None
 
     @property
     def hit(self) -> bool:
@@ -68,26 +65,24 @@ class CacheHierarchy:
         cfg = self.config
         self.l1s = [
             Cache(f"l1-core{i}", cfg.l1_sets, cfg.l1_ways, cfg.line_size,
-                  hit_latency=cfg.l1_latency, policy_factory=LRUPolicy)
+                  hit_latency=cfg.l1_latency)
             for i in range(cfg.num_cores)
         ]
         self.l2 = Cache("llc", cfg.l2_sets, cfg.l2_ways, cfg.line_size,
-                        hit_latency=cfg.l2_latency, policy_factory=LRUPolicy)
+                        hit_latency=cfg.l2_latency)
         #: Physical ranges served by core-private caches only (Sanctuary's
         #: "exclude enclave memory from the shared caches").
         self._llc_excluded: list[tuple[int, int]] = []
-        # Hot-path allocation avoidance: MemoryAccess is frozen, so the
-        # no-eviction outcomes (the overwhelming majority once caches warm
-        # up) are shared singletons; only accesses that displace a line
-        # allocate a fresh record carrying the victim addresses.
-        self._lat_l1_l2 = cfg.l1_latency + cfg.l2_latency
-        self._lat_l1_dram = cfg.l1_latency + cfg.dram_latency
-        self._lat_full = cfg.l1_latency + cfg.l2_latency + cfg.dram_latency
+        # MemoryAccess is frozen, so every access returns one of these
+        # five shared outcomes.
         self._uncached_result = MemoryAccess("uncached", cfg.dram_latency)
         self._l1_hit_result = MemoryAccess("l1", cfg.l1_latency)
-        self._l2_hit_result = MemoryAccess("l2", self._lat_l1_l2)
-        self._dram_result = MemoryAccess("dram", self._lat_full)
-        self._dram_excluded_result = MemoryAccess("dram", self._lat_l1_dram)
+        self._l2_hit_result = MemoryAccess(
+            "l2", cfg.l1_latency + cfg.l2_latency)
+        self._dram_result = MemoryAccess(
+            "dram", cfg.l1_latency + cfg.l2_latency + cfg.dram_latency)
+        self._dram_excluded_result = MemoryAccess(
+            "dram", cfg.l1_latency + cfg.dram_latency)
 
     def exclude_from_llc(self, base: int, size: int) -> None:
         """Mark ``[base, base+size)`` as never cached in the shared LLC."""
@@ -106,35 +101,24 @@ class CacheHierarchy:
         if not cacheable:
             return self._uncached_result
 
-        r1 = self.l1s[core].access(paddr, is_write, domain)
-        if r1.hit:
+        if self.l1s[core].access(paddr, is_write, domain).hit:
             return self._l1_hit_result
-        l1_evicted = r1.evicted
 
         if self._llc_excluded and not self._llc_allowed(paddr):
             # LLC-excluded range: L1 miss goes straight to DRAM and the
             # shared cache never learns the address.
-            if l1_evicted is None:
-                return self._dram_excluded_result
-            return MemoryAccess("dram", self._lat_l1_dram,
-                                l1_evicted=l1_evicted)
+            return self._dram_excluded_result
 
         r2 = self.l2.access(paddr, is_write, domain)
         if r2.hit:
-            if l1_evicted is None:
-                return self._l2_hit_result
-            return MemoryAccess("l2", self._lat_l1_l2, l1_evicted=l1_evicted)
+            return self._l2_hit_result
 
         # LLC miss -> DRAM fill.  Inclusive LLC: its victim must leave
         # every L1 as well.
-        l2_evicted = r2.evicted
-        if l2_evicted is not None:
-            for other in self.l1s:
-                other.flush_line(l2_evicted)
-        elif l1_evicted is None:
-            return self._dram_result
-        return MemoryAccess("dram", self._lat_full,
-                            l1_evicted=l1_evicted, l2_evicted=l2_evicted)
+        if r2.evicted is not None:
+            for l1 in self.l1s:
+                l1.flush_line(r2.evicted)
+        return self._dram_result
 
     # -- timing probe (the attacker's measurement primitive) --------------------
 

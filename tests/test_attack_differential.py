@@ -21,6 +21,7 @@ from repro.arch.null import NullArchitecture
 from repro.attacks.base import AttackerProcess
 from repro.attacks.batch import try_run_batched
 from repro.attacks.batch_diff import (
+    DEFENCES,
     CacheScenario,
     TimingScenario,
     batched_run,
@@ -52,13 +53,16 @@ class TestCacheHypothesis:
         samples=st.integers(min_value=0, max_value=6),
         values=st.sampled_from([2, 4, 8]),
         targets=st.sampled_from([(0,), (0, 5), (15,), (3, 7, 11)]),
+        defence=st.sampled_from(DEFENCES),
     )
     def test_probe_attacks_bit_identical(self, attack, platform, enclave,
-                                         seed, samples, values, targets):
+                                         seed, samples, values, targets,
+                                         defence):
         run_pair(CacheScenario(
             attack=attack, platform=platform, enclave_victim=enclave,
             seed=seed, samples_per_value=samples,
-            plaintext_values=values, target_bytes=targets))
+            plaintext_values=values, target_bytes=targets,
+            defence=defence))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -66,14 +70,16 @@ class TestCacheHypothesis:
         seed=st.integers(min_value=1, max_value=2**63),
         samples=st.integers(min_value=0, max_value=4),
         targets=st.sampled_from([(0,), (0, 5)]),
+        defence=st.sampled_from(DEFENCES),
     )
     def test_evict_time_bit_identical(self, platform, seed, samples,
-                                      targets):
+                                      targets, defence):
         # Evict+Time's kernel covers enclave victims only; the service
         # shape is a routing (fallback) case, tested below.
         run_pair(CacheScenario(
             attack="evict+time", platform=platform, enclave_victim=True,
-            seed=seed, samples_per_value=samples, target_bytes=targets))
+            seed=seed, samples_per_value=samples, target_bytes=targets,
+            defence=defence))
 
 
 class TestTimingHypothesis:

@@ -26,6 +26,8 @@ class TestGeometry:
             Cache("bad", 0, 2)
         with pytest.raises(ValueError):
             Cache("bad", 8, 2, line_size=48)
+        with pytest.raises(ValueError):
+            Cache("bad", 8, 2, line_size=0)
 
     def test_custom_index_fn(self):
         cache = Cache("x", 8, 1, index_fn=lambda addr: addr // 64 + 3)
@@ -48,11 +50,6 @@ class TestHitMiss:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
-
-    def test_no_fill_probe_mode(self, cache):
-        result = cache.access(0x1000, fill=False)
-        assert not result.hit and not result.filled
-        assert not cache.access(0x1000).hit  # still cold
 
 
 class TestEviction:
@@ -77,6 +74,39 @@ class TestEviction:
         for i in range(3):
             cache.access(i * 0x200)
         assert cache.stats.evictions == 1
+
+    def test_prefers_free_way(self):
+        cache = Cache("c", num_sets=1, ways=4)
+        for i in range(4):
+            cache.access(i * 0x40)
+        cache.flush_line(0x40)  # frees way 1, which is not the LRU way
+        assert cache.access(0x400).evicted is None
+        assert cache.stats.evictions == 0
+        assert not cache.probe(0x40) and cache.probe(0x000)
+
+    def test_evicts_least_recent(self):
+        cache = Cache("c", num_sets=1, ways=4)
+        for i in range(4):
+            cache.access(i * 0x40)
+        cache.access(0x000)  # hit: way 0 is now the most recent
+        assert cache.access(0x400).evicted == 0x040
+
+    def test_respects_allowed_mask(self):
+        cache = Cache("c", num_sets=1, ways=4)
+        partition = WayPartition(4)
+        partition.assign("upper", 0b1100)
+        cache.partition = partition
+        for i in range(4):
+            cache.access(i * 0x40)  # default domain fills ways 0..3
+        # The LRU line (way 0) is off limits: the LRU allowed way goes.
+        assert cache.access(0x400, domain="upper").evicted == 0x080
+        assert cache.probe(0x000)
+
+    def test_no_allowed_way_raises(self):
+        cache = Cache("c", num_sets=1, ways=4)
+        cache.partition = WayPartition.split_evenly(4, ["a", "b"])
+        with pytest.raises(ValueError, match="no way allowed"):
+            cache.access(0x000)  # unassigned domain: default mask is 0
 
 
 class TestFlush:

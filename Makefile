@@ -16,12 +16,13 @@ bench:
 
 ## Differential equivalence suites: every fast path against its retained
 ## reference oracle (CPU engine vs reference interpreter, batched attack
-## kernels vs scalar attacks, batched vs scalar power instrument, memoized
-## vs reference speculation explorer).
+## kernels vs scalar attacks, batched vs scalar power instrument, numpy
+## Gaussian draws and CPA vs their scalar formulas, memoized vs reference
+## speculation explorer).
 diff:
 	$(PYTHON) -m pytest -q tests/test_differential.py \
 		tests/test_attack_differential.py tests/test_power_differential.py \
-		tests/test_spec_memo.py
+		tests/test_rng_cpa_differential.py tests/test_spec_memo.py
 
 ## Quick evaluation matrix (Figure 1) from the CLI.
 matrix:

@@ -53,6 +53,7 @@ _PREFIX = "test_perf_"
 SPEEDUP_FLOORS: tuple[tuple[str, str, float], ...] = (
     ("cache_sca[scalar]", "cache_sca[batched]", 3.0),
     ("kocher_timing[scalar]", "kocher_timing[batched]", 1.5),
+    ("trace_acquisition[scalar]", "trace_acquisition[batched]", 8.0),
     ("spec_scan[reference]", "spec_scan[memoized]", 2.0),
 )
 

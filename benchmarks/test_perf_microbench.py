@@ -100,7 +100,10 @@ def test_perf_trace_acquisition(benchmark, mode):
     """200-trace noisy Hamming-weight acquisition of round-1 AES leakage
     — the dominant cost of every physical-suite cell.  The two modes are
     bit-identical (tests/test_power_differential.py proves it); the gap
-    between them is the vectorization win the batched kernels exist for."""
+    between them is the vectorization win the batched kernels exist for.
+    Most of the batched path is the numpy ``gauss_block`` noise draw, so
+    ``check_regression.SPEEDUP_FLOORS`` gates the in-run ratio at 8.0x:
+    a silent fall-back to a per-draw Python loop fails it."""
     from repro.power.instrument import capture_aes_traces
     from repro.power.leakage import HammingWeightModel
 

@@ -658,8 +658,8 @@ def _run_kocher_timing(attack):
                 r = p
         measured.append(total)
     if attack.noise_std > 0:
-        for s, g in enumerate(rng.gauss_block(samples, 0.0,
-                                              attack.noise_std)):
+        noise = rng.gauss_block(samples, 0.0, attack.noise_std)
+        for s, g in enumerate(noise.tolist()):  # Python floats, as scalar
             measured[s] += abs(g)
 
     # Per-sample state after the exponent's leading 1-bit.

@@ -53,10 +53,9 @@ class HammingWeightModel:
         (same multiply/add sequence per sample) are bit-identical.
         """
         samples = self.scale * _HW_TABLE[values]
-        if self.noise_std > 0 and values.size:
-            noise = np.array(
-                self.rng.gauss_block(values.size, 0.0, self.noise_std))
-            samples += noise.reshape(values.shape)
+        if self.noise_std > 0:
+            samples += self.rng.gauss_block(
+                values.size, 0.0, self.noise_std).reshape(values.shape)
         return samples
 
 
@@ -97,8 +96,7 @@ class HammingDistanceModel:
         samples = self.scale * _HW_TABLE[flat ^ prev]
         self._previous = int(flat[-1])
         if self.noise_std > 0:
-            samples += np.array(
-                self.rng.gauss_block(flat.size, 0.0, self.noise_std))
+            samples += self.rng.gauss_block(flat.size, 0.0, self.noise_std)
         return samples.reshape(values.shape)
 
 

@@ -67,6 +67,8 @@ _HEALTHY["cache_sca[scalar]"] = 1.0
 _HEALTHY["cache_sca[batched]"] = 0.15
 _HEALTHY["kocher_timing[scalar]"] = 0.045
 _HEALTHY["kocher_timing[batched]"] = 0.018
+_HEALTHY["trace_acquisition[scalar]"] = 0.090
+_HEALTHY["trace_acquisition[batched]"] = 0.004
 _HEALTHY["spec_scan[reference]"] = 0.19
 _HEALTHY["spec_scan[memoized]"] = 0.0013
 

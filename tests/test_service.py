@@ -408,17 +408,25 @@ class TestServiceWorker:
         """Satellite: SIGTERM mid-run finishes the in-flight cell,
         releases every lease, and leaves the rest immediately
         re-claimable."""
-        job = JobSpec.matrix(quick=True)       # 15 cells: surely mid-run
+        job = JobSpec.matrix(quick=True)
         queue.submit(job)
         worker = make_worker(queue, cache)
+        # SIGTERM arrives as the second cell starts executing: one cell is
+        # done and one is in flight.  A wall-clock timer is not mid-run
+        # for sure, since the whole quick matrix can finish before it.
+        execute, started = worker._execute, []
+
+        def execute_then_signal(*args):
+            started.append(args)
+            if len(started) == 2:
+                os.kill(os.getpid(), signal.SIGTERM)
+            return execute(*args)
+
+        worker._execute = execute_then_signal
         restore = worker.install_signal_handlers()
-        killer = threading.Timer(0.4, os.kill, (os.getpid(),
-                                                signal.SIGTERM))
         try:
-            killer.start()
             stats = worker.run_until_drained()
         finally:
-            killer.cancel()
             restore()
         assert stats.drained
         # Something finished, something remains: genuinely mid-job.

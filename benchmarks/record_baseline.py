@@ -15,9 +15,9 @@ Usage::
 
 Or simply ``make bench``.  ``--quick`` runs only the regression-gated
 benchmarks (see ``GATED_BENCHMARKS``: core load loop, cache hierarchy
-access, scalar/batched trace acquisition, batched CPA, scalar/batched
-attack kernels, the service overhead pair and the reference/memoized
-scan) with light rounds — the
+access, per-platform SoC construction, scalar/batched trace
+acquisition, batched CPA, scalar/batched attack kernels, the service
+overhead pair and the reference/memoized scan) with light rounds — the
 shape CI's bench-smoke job compares against the newest committed
 baseline via ``benchmarks/check_regression.py``.  "Newest" means the
 baseline with the latest *recorded* date (the ``date`` field this
@@ -73,6 +73,9 @@ def _git_dirty() -> bool:
 GATED_BENCHMARKS = (
     "core_load_loop",
     "cache_hierarchy_access",
+    "soc_build[server]",
+    "soc_build[mobile]",
+    "soc_build[embedded]",
     "trace_acquisition[scalar]",
     "trace_acquisition[batched]",
     "cpa_key_recovery_batched",

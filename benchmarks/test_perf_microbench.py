@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
-from repro.cpu import make_embedded_soc, make_server_soc
+from repro.cpu import make_embedded_soc, make_mobile_soc, make_server_soc
 from repro.crypto.aes import AES128, MaskedAES, TTableAES
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.sha256 import sha256
@@ -33,6 +33,17 @@ def test_perf_cache_hierarchy_access(benchmark):
             hierarchy.access(0, addr)
 
     benchmark(run)
+
+
+@pytest.mark.parametrize("factory", [
+    make_server_soc, make_mobile_soc, make_embedded_soc,
+], ids=["server", "mobile", "embedded"])
+def test_perf_soc_build(benchmark, factory):
+    """One platform SoC from scratch — the fixed cost every matrix, scan
+    and service cell pays before its attack runs.  Cache levels build a
+    set's rows on first fill, so this stays flat in the LLC size."""
+    soc = benchmark(factory)
+    assert soc.hierarchy.l2.resident_lines() == []
 
 
 def test_perf_core_load_loop(benchmark):
@@ -319,7 +330,7 @@ def test_perf_service_overhead(benchmark, mode):
             return stats.cells_computed
 
     try:
-        produced = benchmark.pedantic(run, setup=setup, rounds=2,
+        produced = benchmark.pedantic(run, setup=setup, rounds=6,
                                       iterations=1, warmup_rounds=1)
         assert produced == len(specs)
     finally:

@@ -152,7 +152,7 @@ def soc_state(soc) -> tuple:
     for cache in (*soc.hierarchy.l1s, soc.hierarchy.l2):
         stats = cache.stats
         levels.append((
-            [[list(ways) for ways in per_set]
+            [[None if ways is None else list(ways) for ways in per_set]
              for per_set in (cache._tags, cache._domains, cache._dirty,
                              cache._last_use)],
             cache._clock,

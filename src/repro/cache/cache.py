@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 #: Signature for custom set-index functions (randomised mapping).
 IndexFn = Callable[[int], int]
+
+#: The lookup every never-filled set shares; read-only, so a stray write
+#: raises instead of filling every untouched set at once.
+_EMPTY_LOOKUP = MappingProxyType({})
 
 
 @dataclass
@@ -52,6 +57,12 @@ class Cache:
     ``tag -> way`` dict for the lookup.  Stamps come from one cache-wide
     clock, so within a set the least-recently-used line is the one with
     the smallest stamp.
+
+    A set's rows are built on its first fill: until then its four per-way
+    rows are ``None`` and its lookup is one read-only empty mapping shared
+    by every untouched set, which is never mutated.  Every operation other
+    than a filling :meth:`access` treats such a set as empty and leaves
+    it unbuilt, so construction allocates no per-set rows.
     """
 
     def __init__(self, name: str, num_sets: int, ways: int,
@@ -70,13 +81,12 @@ class Cache:
         self.partition = None  # WayPartition | None
         self.stats = CacheStats()
         self._shift = line_size.bit_length() - 1
-        self._lookup: list[dict[int, int]] = [{} for _ in range(num_sets)]
-        self._tags: list[list[int | None]] = [
-            [None] * ways for _ in range(num_sets)]
-        self._domains: list[list[str | None]] = [
-            [None] * ways for _ in range(num_sets)]
-        self._dirty = [[False] * ways for _ in range(num_sets)]
-        self._last_use = [[0] * ways for _ in range(num_sets)]
+        self._lookup: list[dict[int, int] | MappingProxyType] = [
+            _EMPTY_LOOKUP] * num_sets
+        self._tags: list[list[int | None] | None] = [None] * num_sets
+        self._domains: list[list[str | None] | None] = [None] * num_sets
+        self._dirty: list[list[bool] | None] = [None] * num_sets
+        self._last_use: list[list[int] | None] = [None] * num_sets
         self._clock = 0
         # Results are immutable, so the hit and free-way-fill outcomes are
         # per-set singletons, built on first use; only evicting fills
@@ -122,6 +132,13 @@ class Cache:
 
         self.stats.misses += 1
         tags = self._tags[idx]
+        if tags is None:
+            ways = self.ways
+            self._lookup[idx] = lookup = {}
+            self._tags[idx] = tags = [None] * ways
+            self._domains[idx] = [None] * ways
+            self._dirty[idx] = [False] * ways
+            self._last_use[idx] = [0] * ways
         last_use = self._last_use[idx]
         if self.partition is not None:
             way = self._partitioned_victim(tags, last_use, domain)
@@ -165,7 +182,10 @@ class Cache:
     def flush_line(self, addr: int) -> bool:
         """Invalidate the line containing ``addr``; True if it was present."""
         idx = self.set_index(addr)
-        way = self._lookup[idx].pop(addr >> self._shift, None)
+        lookup = self._lookup[idx]
+        if not lookup:
+            return False
+        way = lookup.pop(addr >> self._shift, None)
         if way is None:
             return False
         self._tags[idx][way] = None
@@ -189,6 +209,8 @@ class Cache:
         count = 0
         for lookup, tags, domains in zip(self._lookup, self._tags,
                                          self._domains):
+            if not lookup:
+                continue
             for tag, way in list(lookup.items()):
                 if domains[way] == domain:
                     del lookup[tag]
@@ -201,8 +223,8 @@ class Cache:
 
     def resident_lines(self) -> list[int]:
         """Base addresses of all valid lines (diagnostics/tests)."""
-        return [tag << self._shift for tags in self._tags for tag in tags
-                if tag is not None]
+        return [tag << self._shift for tags in self._tags if tags is not None
+                for tag in tags if tag is not None]
 
     def set_occupancy(self, idx: int) -> int:
         """Number of valid lines in set ``idx``."""

@@ -69,8 +69,22 @@ class PhysicalMemory:
             self._bytes[addr + i] = b
 
     def clear_range(self, addr: int, length: int) -> None:
-        """Zero a range (used by SMART's attestation-trace cleanup)."""
+        """Zero ``length`` bytes from ``addr`` (fresh page tables, enclave
+        page scrubs, attack buffer resets).
+
+        Unwritten memory already reads as zero, so clearing drops the
+        written bytes in the range.  The cost is bounded by the smaller
+        of the range and the footprint: a range wider than everything
+        ever written is cleared by scanning the written addresses
+        instead.  Raises :class:`MemoryFault` for an out-of-range clear
+        before touching anything.
+        """
         self._check(addr, length, "write")
+        if length > len(self._bytes):
+            end = addr + length
+            for key in [k for k in self._bytes if addr <= k < end]:
+                del self._bytes[key]
+            return
         for i in range(length):
             self._bytes.pop(addr + i, None)
 

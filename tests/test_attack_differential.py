@@ -208,6 +208,33 @@ class TestRouting:
         assert soc_state(soc_a) == soc_state(soc_b)
 
 
+class TestSocState:
+    def test_unfilled_sets_compare_as_none(self):
+        from repro.cpu.soc import make_server_soc
+
+        levels = soc_state(make_server_soc())[0]
+        for rows, clock, stats in levels:
+            assert all(row is None for per_set in rows for row in per_set)
+            assert (clock, stats) == (0, (0, 0, 0, 0))
+
+    def test_set_filled_on_one_side_only_mismatches(self):
+        """Fill-then-flush a line in different sets of two SoCs: clocks,
+        stats and residency agree, so only the built rows tell them
+        apart."""
+        from repro.cpu.soc import make_server_soc
+
+        states = []
+        for paddr in (0x8000_0000, 0x8000_0040):
+            soc = make_server_soc()
+            soc.hierarchy.access(0, paddr)
+            soc.hierarchy.flush_line(paddr)
+            states.append(soc_state(soc))
+        (rows_a, *rest_a), (rows_b, *rest_b) = (s[0][0] for s in states)
+        assert rest_a == rest_b
+        assert rows_a != rows_b
+        assert states[0] != states[1]
+
+
 class TestMatrixEquivalence:
     @pytest.mark.parametrize(
         "profile", STANDARD_PLATFORMS,

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cache.cache import Cache
+from repro.cache.cache import _EMPTY_LOOKUP, AccessResult, Cache
 from repro.cache.partition import WayPartition
+from repro.core.matrix import EvaluationMatrix
+from repro.cpu.soc import SoC, make_server_soc
 
 
 @pytest.fixture
@@ -160,3 +162,88 @@ class TestWriteback:
     def test_write_marks_dirty_and_hits(self, cache):
         cache.access(0x1000, is_write=True)
         assert cache.access(0x1000, is_write=False).hit
+
+
+def _rows(cache, idx):
+    return (cache._tags[idx], cache._domains[idx], cache._dirty[idx],
+            cache._last_use[idx])
+
+
+def _stats(cache):
+    s = cache.stats
+    return (s.hits, s.misses, s.evictions, s.flushes)
+
+
+def _unbuilt(cache):
+    """Indices of sets whose rows have not been built."""
+    return [idx for idx in range(cache.num_sets)
+            if cache._lookup[idx] is _EMPTY_LOOKUP
+            and _rows(cache, idx) == (None, None, None, None)]
+
+
+class TestLazySets:
+    """A set's rows are built on its first fill and nowhere else."""
+
+    def test_fresh_cache_reads_as_empty_without_building(self, cache):
+        assert not cache.probe(0x1000)
+        assert not cache.flush_line(0x1000)
+        assert cache.flush_all() == 0
+        assert cache.flush_domain(None) == 0
+        assert cache.flush_domain("enclave") == 0
+        assert [cache.set_occupancy(i) for i in range(8)] == [0] * 8
+        assert cache.domain_of_line(0x1000) is None
+        assert cache.resident_lines() == []
+        assert _stats(cache) == (0, 0, 0, 0)
+        assert _unbuilt(cache) == list(range(8))
+
+    def test_server_soc_builds_no_rows(self):
+        soc = make_server_soc()
+        levels = (*soc.hierarchy.l1s, soc.hierarchy.l2)
+        for level in levels:
+            assert _unbuilt(level) == list(range(level.num_sets))
+
+    def test_shared_empty_lookup_survives_matrix_and_flushes(self,
+                                                              monkeypatch):
+        socs = []
+        init = SoC.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            socs.append(self)
+
+        monkeypatch.setattr(SoC, "__init__", recording_init)
+        EvaluationMatrix(quick=True).evaluate()
+        assert socs
+        for soc in socs:
+            for level in (*soc.hierarchy.l1s, soc.hierarchy.l2):
+                level.flush_domain(None)
+                level.flush_all()
+                assert level.resident_lines() == []
+        assert len(_EMPTY_LOOKUP) == 0
+
+    def test_scripted_set_history(self):
+        """First fill, hits, an eviction, a flush and a refill of one
+        set: the victims, stamps and stats the eager layout produced."""
+        cache = Cache("s", num_sets=4, ways=2)
+        a, b, c, d = 0x040, 0x140, 0x240, 0x340  # all set 1
+        assert cache.access(a, domain="x") == AccessResult(False, 1, 4)
+        assert cache.access(a, is_write=True) == AccessResult(True, 1, 4)
+        assert cache.access(b, domain="y") == AccessResult(False, 1, 4)
+        assert cache.access(a) == AccessResult(True, 1, 4)
+        assert cache.access(c, domain="z") == AccessResult(False, 1, 4, b)
+        assert _rows(cache, 1) == ([1, 9], ["x", "z"], [True, False],
+                                   [4, 5])
+        assert cache.flush_line(a)
+        assert _rows(cache, 1)[0] == [None, 9]
+        assert cache.access(d, is_write=True, domain="w") == AccessResult(
+            False, 1, 4)
+        assert _rows(cache, 1) == ([13, 9], ["w", "z"], [True, False],
+                                   [6, 5])
+        assert cache._clock == 6
+        assert _stats(cache) == (2, 4, 1, 1)
+        assert cache._lookup[1] == {13: 0, 9: 1}
+        assert _unbuilt(cache) == [0, 2, 3]
+        assert cache.flush_domain("z") == 1
+        assert cache.flush_all() == 1
+        assert _rows(cache, 1)[0] == [None, None]
+        assert _stats(cache) == (2, 4, 1, 3)

@@ -1,6 +1,8 @@
 """Physical memory model."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MemoryFault
 from repro.memory.phys import PhysicalMemory
@@ -81,3 +83,63 @@ class TestMaintenance:
         mem.write_word((1 << 40) - 8, 99)
         assert mem.read_word((1 << 40) - 8) == 99
         assert mem.footprint() == 8
+
+
+_SIZE = 0x400
+
+
+def _per_byte_clear(mem: PhysicalMemory, addr: int, length: int) -> None:
+    """The reference: drop every address of the range one at a time."""
+    for i in range(length):
+        mem._bytes.pop(addr + i, None)
+
+
+def _sparse_memory(writes: dict[int, int]) -> PhysicalMemory:
+    mem = PhysicalMemory(size=_SIZE)
+    for addr, value in writes.items():
+        mem.write_byte(addr, value)
+    return mem
+
+
+_WRITES = st.dictionaries(st.integers(0, _SIZE - 1), st.integers(0, 255),
+                          max_size=48)
+
+
+class TestClearRangeDifferential:
+    """``clear_range`` against the per-byte loop, on both sides of the
+    footprint: ranges wider than everything written take the key scan,
+    narrower ones the per-address pops.  Surviving keys and their
+    insertion order must match."""
+
+    def _check(self, writes, addr, length):
+        mem, ref = _sparse_memory(writes), _sparse_memory(writes)
+        mem.clear_range(addr, length)
+        _per_byte_clear(ref, addr, length)
+        assert list(mem._bytes.items()) == list(ref._bytes.items())
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(writes=_WRITES, data=st.data())
+    def test_range_wider_than_footprint(self, writes, data):
+        addr = data.draw(st.integers(0, _SIZE - len(writes) - 1))
+        length = data.draw(st.integers(len(writes) + 1, _SIZE - addr))
+        assert length > len(writes)
+        self._check(writes, addr, length)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(writes=_WRITES.filter(bool), data=st.data())
+    def test_range_within_footprint(self, writes, data):
+        addr = data.draw(st.integers(0, _SIZE - 1))
+        length = data.draw(st.integers(0, min(len(writes), _SIZE - addr)))
+        self._check(writes, addr, length)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(writes=_WRITES, addr=st.integers(-8, _SIZE),
+           length=st.integers(0, 2 * _SIZE))
+    def test_out_of_range_raises_and_keeps_memory(self, writes, addr,
+                                                  length):
+        assume(addr < 0 or addr + length > _SIZE)
+        mem = _sparse_memory(writes)
+        before = list(mem._bytes.items())
+        with pytest.raises(MemoryFault, match="out-of-range"):
+            mem.clear_range(addr, length)
+        assert list(mem._bytes.items()) == before

@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench diff matrix scan chaos serve-smoke lint determinism \
-	e2ebench-selftest ci
+	imports e2ebench-selftest ci
 
 ## Tier-1 test suite (fast; micro-benchmarks excluded via the bench marker).
 ## PYTEST_ARGS lets CI bolt on reporting flags (--junitxml, --durations)
@@ -65,6 +65,12 @@ lint:
 determinism:
 	PYTHONHASHSEED=0 $(PYTHON) -m pytest -q tests/test_runner.py -k HashSeed
 	PYTHONHASHSEED=12345 $(PYTHON) -m pytest -q tests/test_runner.py -k HashSeed
+
+## Import footprint: each verb loads only the modules it runs (fresh
+## interpreters), and the lazy package inits keep their public surface.
+imports:
+	$(PYTHON) -m pytest -q tests/test_import_footprint.py \
+		tests/test_lazy_packages.py
 
 ## Self-tests of the cold end-to-end benchmark harness (e2ebench/).
 e2ebench-selftest:

@@ -27,37 +27,23 @@ tytan      TyTAN [6]                    TrustLite + secure boot/storage,
 ========== ============================ ==================================
 """
 
-from repro.arch.base import (
-    AESVictim,
-    ArchFeatures,
-    EnclaveHandle,
-    SecurityArchitecture,
-)
-from repro.arch.sgx import SGX
-from repro.arch.sanctum import Sanctum
-from repro.arch.trustzone import TrustZone
-from repro.arch.sanctuary import Sanctuary
-from repro.arch.smart import SMART
-from repro.arch.sancus import Sancus
-from repro.arch.trustlite import TrustLite
-from repro.arch.tytan import TyTAN
+from repro._lazy import lazy_exports
 
-ALL_ARCHITECTURES = (
-    SGX, Sanctum, TrustZone, Sanctuary, SMART, Sancus, TrustLite, TyTAN,
-)
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AESVictim": "base",
+    "ALL_ARCHITECTURES": "catalog",
+    "ArchFeatures": "base",
+    "EnclaveHandle": "base",
+    "SGX": "sgx",
+    "SMART": "smart",
+    "Sanctuary": "sanctuary",
+    "Sanctum": "sanctum",
+    "Sancus": "sancus",
+    "SecurityArchitecture": "base",
+    "TrustLite": "trustlite",
+    "TrustZone": "trustzone",
+    "TyTAN": "tytan",
+}
 
-__all__ = [
-    "AESVictim",
-    "ALL_ARCHITECTURES",
-    "ArchFeatures",
-    "EnclaveHandle",
-    "SGX",
-    "SMART",
-    "Sanctuary",
-    "Sanctum",
-    "Sancus",
-    "SecurityArchitecture",
-    "TrustLite",
-    "TrustZone",
-    "TyTAN",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

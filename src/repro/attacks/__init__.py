@@ -7,68 +7,36 @@ never receive secrets — success is graded afterwards against ground truth
 the harness kept to itself.
 """
 
-from repro.attacks.base import (
-    AttackCategory,
-    AttackResult,
-    AttackerProcess,
-)
-from repro.attacks.software import (
-    CodeInjectionAttack,
-    DMAAttack,
-    KernelMemoryProbeAttack,
-)
-from repro.attacks.cache_sca import (
-    EvictTimeAttack,
-    FlushReloadAttack,
-    PrimeProbeAttack,
-)
-from repro.attacks.tlb_btb import BranchShadowingAttack, TLBContentionAttack
-from repro.attacks.spectre import SpectreBTBAttack, SpectreV1Attack
-from repro.attacks.meltdown import MeltdownAttack
-from repro.attacks.foreshadow import ForeshadowAttack
-from repro.attacks.timing import KocherTimingAttack
-from repro.attacks.dpa import (
-    cpa_attack,
-    cpa_recover_key,
-    dpa_attack,
-    dpa_recover_key,
-)
-from repro.attacks.fault_attacks import (
-    AESLastRoundDFA,
-    BellcoreRSAAttack,
-)
-from repro.attacks.clkscrew_attack import ClkscrewAttack
-from repro.attacks.controlled_channel import (
-    ControlledChannelAttack,
-    PagedModExpVictim,
-)
-from repro.attacks.rowhammer import RowhammerAttack
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AESLastRoundDFA",
-    "AttackCategory",
-    "AttackResult",
-    "AttackerProcess",
-    "BellcoreRSAAttack",
-    "BranchShadowingAttack",
-    "ClkscrewAttack",
-    "CodeInjectionAttack",
-    "ControlledChannelAttack",
-    "DMAAttack",
-    "EvictTimeAttack",
-    "FlushReloadAttack",
-    "ForeshadowAttack",
-    "KernelMemoryProbeAttack",
-    "KocherTimingAttack",
-    "MeltdownAttack",
-    "PagedModExpVictim",
-    "PrimeProbeAttack",
-    "RowhammerAttack",
-    "SpectreBTBAttack",
-    "SpectreV1Attack",
-    "TLBContentionAttack",
-    "cpa_attack",
-    "cpa_recover_key",
-    "dpa_attack",
-    "dpa_recover_key",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AESLastRoundDFA": "fault_attacks",
+    "AttackCategory": "base",
+    "AttackResult": "base",
+    "AttackerProcess": "base",
+    "BellcoreRSAAttack": "fault_attacks",
+    "BranchShadowingAttack": "tlb_btb",
+    "ClkscrewAttack": "clkscrew_attack",
+    "CodeInjectionAttack": "software",
+    "ControlledChannelAttack": "controlled_channel",
+    "DMAAttack": "software",
+    "EvictTimeAttack": "cache_sca",
+    "FlushReloadAttack": "cache_sca",
+    "ForeshadowAttack": "foreshadow",
+    "KernelMemoryProbeAttack": "software",
+    "KocherTimingAttack": "timing",
+    "MeltdownAttack": "meltdown",
+    "PagedModExpVictim": "controlled_channel",
+    "PrimeProbeAttack": "cache_sca",
+    "RowhammerAttack": "rowhammer",
+    "SpectreBTBAttack": "spectre",
+    "SpectreV1Attack": "spectre",
+    "TLBContentionAttack": "tlb_btb",
+    "cpa_attack": "dpa",
+    "cpa_recover_key": "dpa",
+    "dpa_attack": "dpa",
+    "dpa_recover_key": "dpa",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

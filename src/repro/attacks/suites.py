@@ -6,6 +6,13 @@ by reference — a suite is a pure function of ``(arch, rng, knobs)`` with
 no instance state behind it.  Each cell passes its *own* independently
 seeded RNG (see :mod:`repro.runner.seeding`), so no suite can perturb
 another's stream.
+
+The remote and local suites need only :mod:`repro.attacks.software`,
+which this module imports.  The microarchitectural and physical suites
+import their attack, cipher, power and CPA modules (numpy among them)
+when they run, so a service worker draining remote/local cells never
+loads them.  :mod:`repro.core.matrix` loads them up front instead: a
+Figure 1 run executes every suite and pays for them at setup.
 """
 
 from __future__ import annotations
@@ -15,26 +22,12 @@ from dataclasses import dataclass, fields
 import repro.obs as obs
 from repro.arch.null import NullArchitecture
 from repro.attacks.base import AttackCategory, AttackResult, AttackerProcess
-from repro.attacks.cache_sca import (
-    FlushReloadAttack,
-    SharedAESService,
-    _CacheAttackConfig,
-)
-from repro.attacks.dpa import cpa_recover_key, key_recovery_rate
-from repro.attacks.fault_attacks import BellcoreRSAAttack
-from repro.attacks.meltdown import MeltdownAttack
 from repro.attacks.software import (
     CodeInjectionAttack,
     DMAAttack,
     KernelMemoryProbeAttack,
 )
-from repro.attacks.spectre import SpectreV1Attack
-from repro.attacks.timing import KocherTimingAttack
-from repro.crypto.aes import AES128
 from repro.crypto.rng import XorShiftRNG
-from repro.crypto.rsa import RSA, generate_rsa_key
-from repro.power.instrument import capture_aes_traces
-from repro.power.leakage import HammingWeightModel
 
 
 @dataclass(frozen=True)
@@ -108,6 +101,14 @@ def microarch_suite(arch: NullArchitecture, rng: XorShiftRNG,
     fallback for configurations the kernels don't cover.  ``batch=False``
     reaches the scalar reference attack (the differential suite's
     oracle switch)."""
+    from repro.attacks.cache_sca import (
+        FlushReloadAttack,
+        SharedAESService,
+        _CacheAttackConfig,
+    )
+    from repro.attacks.meltdown import MeltdownAttack
+    from repro.attacks.spectre import SpectreV1Attack
+
     soc = arch.soc
     secret = bytes(0x41 + rng.next_below(26)
                    for _ in range(knobs.secret_len))
@@ -134,6 +135,14 @@ def physical_suite(arch: NullArchitecture, rng: XorShiftRNG,
                    batch: bool = True) -> list[AttackResult]:
     """``batch`` is the oracle switch as in :func:`microarch_suite`; it
     selects the batched or the scalar Kocher timing attack."""
+    from repro.attacks.dpa import cpa_recover_key, key_recovery_rate
+    from repro.attacks.fault_attacks import BellcoreRSAAttack
+    from repro.attacks.timing import KocherTimingAttack
+    from repro.crypto.aes import AES128
+    from repro.crypto.rsa import RSA, generate_rsa_key
+    from repro.power.instrument import capture_aes_traces
+    from repro.power.leakage import HammingWeightModel
+
     # Power: CPA on an unprotected AES running on the device.  Acquisition
     # is batched (bit-identical to the scalar reference; repro.power.diff
     # proves it), so the cell's payload digest is unchanged.
@@ -164,6 +173,25 @@ def physical_suite(arch: NullArchitecture, rng: XorShiftRNG,
             rng=XorShiftRNG(rng.next_u64()), batch=batch).run()
     return [cpa_result, bellcore, timing]
 
+
+#: What :func:`microarch_suite` and :func:`physical_suite` import when
+#: they run, themselves or through the attacks they run.
+#: :mod:`repro.core.matrix` loads these up front;
+#: ``tests/test_import_footprint.py`` checks that running the quick
+#: matrix then loads nothing further.
+SUITE_MODULES = (
+    "repro.attacks.batch",
+    "repro.attacks.cache_sca",
+    "repro.attacks.dpa",
+    "repro.attacks.fault_attacks",
+    "repro.attacks.meltdown",
+    "repro.attacks.spectre",
+    "repro.attacks.timing",
+    "repro.crypto.aes",
+    "repro.crypto.rsa",
+    "repro.power.instrument",
+    "repro.power.leakage",
+)
 
 #: Suite entry point per adversary category, in Figure 1 row order.
 SUITES = {

@@ -15,24 +15,22 @@ Evict+Time / Prime+Probe / Flush+Reload quantify.
   by the attacker and the victim can be exploited".
 """
 
-from repro.cache.cache import AccessResult, Cache, CacheStats
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, MemoryAccess
-from repro.cache.tlb import TLB
-from repro.cache.btb import BranchTargetBuffer
-from repro.cache.partition import WayPartition, color_of, frames_of_color
-from repro.cache.randmap import RandomizedIndexing
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessResult",
-    "BranchTargetBuffer",
-    "Cache",
-    "CacheHierarchy",
-    "CacheStats",
-    "HierarchyConfig",
-    "MemoryAccess",
-    "RandomizedIndexing",
-    "TLB",
-    "WayPartition",
-    "color_of",
-    "frames_of_color",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AccessResult": "cache",
+    "BranchTargetBuffer": "btb",
+    "Cache": "cache",
+    "CacheHierarchy": "hierarchy",
+    "CacheStats": "cache",
+    "HierarchyConfig": "hierarchy",
+    "MemoryAccess": "hierarchy",
+    "RandomizedIndexing": "randmap",
+    "TLB": "tlb",
+    "WayPartition": "partition",
+    "color_of": "partition",
+    "frames_of_color": "partition",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

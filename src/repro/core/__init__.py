@@ -18,46 +18,27 @@ experiment outcomes on the simulated stack instead of asserting them:
   as a scoring engine.
 """
 
-from repro.core.taxonomy import (
-    AdversaryModel,
-    Importance,
-    importance_from_score,
-)
-from repro.core.platforms import (
-    PlatformProfile,
-    STANDARD_PLATFORMS,
-    reference_workload,
-)
-from repro.core.matrix import CellResult, EvaluationMatrix
-from repro.core.figure1 import Figure1, generate_figure1
-from repro.core.comparison import (
-    architecture_feature_table,
-    cache_defence_table,
-    render_table,
-    transient_applicability_table,
-)
-from repro.core.advisor import (
-    Advice,
-    Requirements,
-    recommend_architecture,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Advice",
-    "AdversaryModel",
-    "CellResult",
-    "EvaluationMatrix",
-    "Figure1",
-    "Importance",
-    "PlatformProfile",
-    "Requirements",
-    "STANDARD_PLATFORMS",
-    "architecture_feature_table",
-    "cache_defence_table",
-    "generate_figure1",
-    "importance_from_score",
-    "recommend_architecture",
-    "reference_workload",
-    "render_table",
-    "transient_applicability_table",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "Advice": "advisor",
+    "AdversaryModel": "taxonomy",
+    "CellResult": "matrix",
+    "EvaluationMatrix": "matrix",
+    "Figure1": "figure1",
+    "Importance": "taxonomy",
+    "PlatformProfile": "platforms",
+    "Requirements": "advisor",
+    "STANDARD_PLATFORMS": "platforms",
+    "architecture_feature_table": "comparison",
+    "cache_defence_table": "comparison",
+    "generate_figure1": "figure1",
+    "importance_from_score": "taxonomy",
+    "recommend_architecture": "advisor",
+    "reference_workload": "platforms",
+    "render_table": "comparison",
+    "transient_applicability_table": "comparison",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -30,26 +30,14 @@ from repro.arch import (
 )
 from repro.arch.null import NullArchitecture
 from repro.attacks.base import AttackerProcess
-from repro.attacks.cache_sca import (
-    EvictTimeAttack,
-    FlushReloadAttack,
-    PrimeProbeAttack,
-    _CacheAttackConfig,
-)
 from repro.attacks.software import DMAAttack
-from repro.attacks.transient_oracle import (
-    ORACLE_ATTACKS,
-    TRANSIENT_DESIGN_POINTS,
-    design_soc_variant,
-    scripted_transient_scores,
-)
 from repro.cpu.soc import (
     make_embedded_soc,
     make_mobile_soc,
     make_server_soc,
 )
 from repro.crypto.rng import XorShiftRNG
-from repro.runner import derive_seed, parallel_map
+from repro.runner import derive_seed
 
 #: (architecture class, SoC factory) in the paper's presentation order.
 ARCH_HOSTS = (
@@ -175,6 +163,13 @@ def _cache_defence_row(task: tuple[int, bool, bool, int]) -> CacheDefenceRow:
     Each attack draws from its own digest-derived stream, so rows are
     independent of each other and of attack ordering within the row.
     """
+    from repro.attacks.cache_sca import (
+        EvictTimeAttack,
+        FlushReloadAttack,
+        PrimeProbeAttack,
+        _CacheAttackConfig,
+    )
+
     index, quick, include_evict_time, seed = task
     arch_cls, make_soc, defence = _CACHE_HOSTS[index]
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -209,6 +204,8 @@ def cache_defence_table(quick: bool = True, include_evict_time: bool = False,
     ``jobs > 1`` fans the architecture rows out over worker processes
     (rows are mutually independent by construction).
     """
+    from repro.runner import parallel_map
+
     tasks = [(index, quick, include_evict_time, seed)
              for index in range(len(_CACHE_HOSTS))]
     rows, _ = parallel_map(_cache_defence_row, tasks, jobs)
@@ -229,13 +226,6 @@ def render_cache_defence_table(rows: list[CacheDefenceRow]) -> str:
 
 # -- TAB-S42 -----------------------------------------------------------------------
 
-# The design points and scripted-attack runs live in
-# repro.attacks.transient_oracle so the Spectre scanner can sweep the
-# same grid and the differential suite can compare against the same
-# measurements; _soc_variant stays as the historical alias.
-_soc_variant = design_soc_variant
-
-
 def transient_applicability_table(secret: bytes = b"TRNS",
                                   seed: int = 0x42
                                   ) -> tuple[list[str], list[list[str]]]:
@@ -245,7 +235,18 @@ def transient_applicability_table(secret: bytes = b"TRNS",
     The paper's qualitative claims appear as the pattern: everything works
     on the commodity speculative design, each mitigation kills exactly its
     attack, and the in-order (embedded) design is immune across the board.
+
+    The design points and scripted-attack runs live in
+    :mod:`repro.attacks.transient_oracle`, so the Spectre scanner sweeps
+    the same grid and the differential suite compares against the same
+    measurements.
     """
+    from repro.attacks.transient_oracle import (
+        ORACLE_ATTACKS,
+        TRANSIENT_DESIGN_POINTS,
+        scripted_transient_scores,
+    )
+
     headers = ["design point", *ORACLE_ATTACKS]
     rows: list[list[str]] = []
     for label, _ in TRANSIENT_DESIGN_POINTS:

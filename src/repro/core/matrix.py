@@ -18,11 +18,13 @@ processes, and results can be memoised on disk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 
 from repro.attacks.base import AttackCategory, AttackResult
 from repro.attacks.suites import (
     MatrixKnobs,
     PRIOR_ATTRS,
+    SUITE_MODULES,
     SUITES,
 )
 from repro.common import PlatformClass
@@ -41,6 +43,12 @@ from repro.runner import (
 )
 from repro.runner.engine import run_cell
 from repro.runner.serialize import attack_result_from_dict, workload_from_dict
+
+# Every Figure 1 run executes the microarchitectural and physical
+# suites, so their modules (numpy among their dependencies) load here,
+# at setup, and not inside the run's first cells.
+for _module in SUITE_MODULES:
+    import_module(_module)
 
 
 @dataclass

@@ -16,37 +16,28 @@ Two core types span the paper's spectrum:
 build the paper's three platform classes.
 """
 
-from repro.cpu.exceptions import Trap, TrapCause, TrapInfo
-from repro.cpu.predictor import BranchPredictor, PredictorConfig
-from repro.cpu.core import Core, CoreConfig
-from repro.cpu.speculative import SpeculativeCore, SpeculativeConfig
-from repro.cpu.dvfs import DVFSController, OperatingPoint, VoltageDomain
-from repro.cpu.soc import (
-    SoC,
-    SoCConfig,
-    make_embedded_soc,
-    make_mobile_soc,
-    make_server_soc,
-    soc_factory_for,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BranchPredictor",
-    "Core",
-    "CoreConfig",
-    "DVFSController",
-    "OperatingPoint",
-    "PredictorConfig",
-    "SoC",
-    "SoCConfig",
-    "SpeculativeConfig",
-    "SpeculativeCore",
-    "Trap",
-    "TrapCause",
-    "TrapInfo",
-    "VoltageDomain",
-    "make_embedded_soc",
-    "make_mobile_soc",
-    "make_server_soc",
-    "soc_factory_for",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BranchPredictor": "predictor",
+    "Core": "core",
+    "CoreConfig": "core",
+    "DVFSController": "dvfs",
+    "OperatingPoint": "dvfs",
+    "PredictorConfig": "predictor",
+    "SoC": "soc",
+    "SoCConfig": "soc",
+    "SpeculativeConfig": "speculative",
+    "SpeculativeCore": "speculative",
+    "Trap": "exceptions",
+    "TrapCause": "exceptions",
+    "TrapInfo": "exceptions",
+    "VoltageDomain": "dvfs",
+    "make_embedded_soc": "soc",
+    "make_mobile_soc": "soc",
+    "make_server_soc": "soc",
+    "soc_factory_for": "soc",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,35 +15,24 @@ variants the countermeasure discussion (Section 5) requires:
 * :func:`sha256` / :func:`hmac_sha256` — the attestation MAC substrate.
 """
 
-from repro.crypto.sha256 import sha256
-from repro.crypto.hmacmod import hmac_sha256, hmac_verify
-from repro.crypto.rng import XorShiftRNG
-from repro.crypto.aes import (
-    AES128,
-    ConstantTimeAES,
-    MaskedAES,
-    TTableAES,
-)
-from repro.crypto.modexp import (
-    ModExpResult,
-    modexp_ladder,
-    modexp_square_multiply,
-)
-from repro.crypto.rsa import RSA, RSAKey, generate_rsa_key
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AES128",
-    "ConstantTimeAES",
-    "MaskedAES",
-    "ModExpResult",
-    "RSA",
-    "RSAKey",
-    "TTableAES",
-    "XorShiftRNG",
-    "generate_rsa_key",
-    "hmac_sha256",
-    "hmac_verify",
-    "modexp_ladder",
-    "modexp_square_multiply",
-    "sha256",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AES128": "aes",
+    "ConstantTimeAES": "aes",
+    "MaskedAES": "aes",
+    "ModExpResult": "modexp",
+    "RSA": "rsa",
+    "RSAKey": "rsa",
+    "TTableAES": "aes",
+    "XorShiftRNG": "rng",
+    "generate_rsa_key": "rsa",
+    "hmac_sha256": "hmacmod",
+    "hmac_verify": "hmacmod",
+    "modexp_ladder": "modexp",
+    "modexp_square_multiply": "modexp",
+    "sha256": "sha256",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -54,26 +54,22 @@ def gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _gf_inv(a: int) -> int:
-    if a == 0:
-        return 0
-    # a^(2^8 - 2) by square-and-multiply.
-    result = 1
-    power = a
-    exponent = 254
-    while exponent:
-        if exponent & 1:
-            result = gf_mul(result, power)
-        power = gf_mul(power, power)
-        exponent >>= 1
-    return result
-
-
 def _build_sbox() -> tuple[list[int], list[int]]:
+    # Inverses from exp/log tables over the generator 3 (x^-1 is
+    # 3^(255 - log x)): one pass over the group instead of a
+    # square-and-multiply per byte, which made up most of this
+    # module's import time.
+    exp = [0] * 255
+    log = [0] * 256
+    a = 1
+    for i in range(255):
+        exp[i] = a
+        log[a] = i
+        a ^= _xtime(a)
     sbox = [0] * 256
     inv = [0] * 256
     for x in range(256):
-        b = _gf_inv(x)
+        b = exp[(255 - log[x]) % 255] if x else 0
         y = 0
         for bit in range(8):
             y |= (((b >> bit) ^ (b >> ((bit + 4) % 8)) ^ (b >> ((bit + 5) % 8))

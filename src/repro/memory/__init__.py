@@ -16,48 +16,35 @@ Everything a hardware-assisted security architecture hangs off lives here:
   protected physical range.
 """
 
-from repro.memory.phys import PhysicalMemory
-from repro.memory.regions import MemoryRegion, RegionMap, Permissions
-from repro.memory.bus import BusMaster, BusTransaction, SystemBus
-from repro.memory.paging import (
-    PAGE_SIZE,
-    PageFlags,
-    PageTable,
-    pte_pack,
-    pte_unpack,
-)
-from repro.memory.mmu import MMU, TranslationResult
-from repro.memory.mpu import ExecutionAwareMPU, MPU, MPURegion
-from repro.memory.tzasc import TrustZoneAddressSpaceController, WorldState
-from repro.memory.dma import DMAEngine
-from repro.memory.mee import MemoryEncryptionEngine
-from repro.memory.rom import KeyVault, ROMRegion
-from repro.memory.disturbance import DisturbanceModel, ROW_SIZE
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BusMaster",
-    "BusTransaction",
-    "DMAEngine",
-    "DisturbanceModel",
-    "ExecutionAwareMPU",
-    "KeyVault",
-    "MMU",
-    "MPU",
-    "MPURegion",
-    "MemoryEncryptionEngine",
-    "MemoryRegion",
-    "PAGE_SIZE",
-    "PageFlags",
-    "PageTable",
-    "Permissions",
-    "PhysicalMemory",
-    "ROMRegion",
-    "ROW_SIZE",
-    "RegionMap",
-    "SystemBus",
-    "TranslationResult",
-    "TrustZoneAddressSpaceController",
-    "WorldState",
-    "pte_pack",
-    "pte_unpack",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BusMaster": "bus",
+    "BusTransaction": "bus",
+    "DMAEngine": "dma",
+    "DisturbanceModel": "disturbance",
+    "ExecutionAwareMPU": "mpu",
+    "KeyVault": "rom",
+    "MMU": "mmu",
+    "MPU": "mpu",
+    "MPURegion": "mpu",
+    "MemoryEncryptionEngine": "mee",
+    "MemoryRegion": "regions",
+    "PAGE_SIZE": "paging",
+    "PageFlags": "paging",
+    "PageTable": "paging",
+    "Permissions": "regions",
+    "PhysicalMemory": "phys",
+    "ROMRegion": "rom",
+    "ROW_SIZE": "disturbance",
+    "RegionMap": "regions",
+    "SystemBus": "bus",
+    "TranslationResult": "mmu",
+    "TrustZoneAddressSpaceController": "tzasc",
+    "WorldState": "tzasc",
+    "pte_pack": "paging",
+    "pte_unpack": "paging",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import socket
 import time
 from itertools import count
 from pathlib import Path
@@ -51,6 +50,8 @@ DEFAULT_TMP_GRACE_S = 120.0
 
 def writer_tag() -> str:
     """This process's globally distinguishable cache-writer identity."""
+    import socket
+
     host = re.sub(r"[^A-Za-z0-9-]", "-", socket.gethostname()) or "host"
     return f"{host}-{os.getpid()}-{_WRITER_NONCE}"
 

@@ -29,12 +29,9 @@ import hashlib
 import json
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
-from pickle import PicklingError
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import (
     CellExecutionError,
@@ -52,6 +49,9 @@ from repro.runner.chaos import ChaosConfig, chaos_execute_spec
 from repro.runner.retry import RetryPolicy
 from repro.runner.seeding import derive_cell_seed
 from repro.runner.stats import CellOutcome, RunnerStats
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Pseudo-category for the per-platform reference-workload measurement.
 WORKLOAD_CATEGORY = "workload"
@@ -316,6 +316,10 @@ def parallel_map(fn: Callable, items: Iterable,
     """
     items = list(items)
     if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        from pickle import PicklingError
+
         outcomes = None
         try:
             with ProcessPoolExecutor(
@@ -595,7 +599,18 @@ class ExperimentRunner:
           pool rebuilds; past a hard rebuild budget the remaining cells
           degrade to in-process serial execution (with process-lethal
           chaos modes disarmed) rather than looping forever.
+
+        The pool machinery is imported here, where a pool is built: the
+        default ``jobs=1`` runner never loads it.
         """
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+        from concurrent.futures.process import BrokenProcessPool
+        from pickle import PicklingError
+
         max_workers = min(self.jobs, len(pending))
         #: (spec, attempt, not_before): ready-to-submit work items.
         queue: deque[tuple[CellSpec, int, float]] = deque(

@@ -120,13 +120,6 @@ class RunnerStats:
     def instructions_total(self) -> int:
         return sum(self.cell_instrets.values())
 
-    @property
-    def instructions_per_s(self) -> float:
-        """Simulated instructions retired per busy worker-second."""
-        if self.busy_time_s <= 0.0:
-            return 0.0
-        return self.instructions_total / self.busy_time_s
-
     def failed_cells(self) -> list[tuple[str, str, CellOutcome]]:
         """The cells without a trustworthy payload, with their outcomes."""
         return [(platform, category, outcome)
@@ -172,11 +165,14 @@ class RunnerStats:
         visible at a glance rather than silently absent.  ``wall`` is the
         in-worker execution time, ``span`` the caller-side queue-to-
         outcome duration (queueing + retries + backoff); a large gap
-        between the two is the runner's overhead, not the engine's.  The
+        between the two is the runner's overhead, not the engine's.
+        Spans overlap (every cell is queued when the run starts), so the
+        total row's ``span`` is the run's wall time, not their sum.  The
         throughput column is the engine-speed figure the
-        micro-benchmarks track (``make bench``).  The cell column is
-        sized to the longest cell name so wide matrices keep every
-        column aligned.
+        micro-benchmarks track (``make bench``); a cell that retires no
+        ISA instruction (a cipher or key-recovery cell) shows ``-``
+        there, not a rate of zero.  The cell column is sized to the
+        longest cell name so wide matrices keep every column aligned.
         """
         if not self.cell_times and not self.cells_failed:
             return "profile: no cells executed (all served from cache)"
@@ -190,18 +186,22 @@ class RunnerStats:
                 return f"{'-':>9}"
             return f"{seconds * 1e3:>7.1f}ms"
 
+        def rate_col(instret: int, seconds: float) -> str:
+            if instret <= 0 or seconds <= 0:
+                return f"{'-':>12}"
+            return f"{instret / seconds:>12,.0f}"
+
         header = (f"{'cell':<{width}} {'wall':>9} {'span':>9} "
                   f"{'instret':>10} {'instr/s':>12}  outcome")
         lines = ["profile (executed cells, slowest first):", header]
         ranked = sorted(self.cell_times.items(), key=lambda kv: -kv[1])
         for (platform, category), seconds in ranked:
             instret = self.cell_instrets.get((platform, category), 0)
-            rate = instret / seconds if seconds > 0 else 0.0
             outcome = self.outcomes.get((platform, category))
             lines.append(f"{platform + '/' + category:<{width}} "
                          f"{seconds * 1e3:>7.1f}ms "
                          f"{span_col((platform, category))} "
-                         f"{instret:>10} {rate:>12,.0f}  "
+                         f"{instret:>10} {rate_col(instret, seconds)}  "
                          f"{outcome.label() if outcome else 'ok'}")
         for platform, category, outcome in self.failed_cells():
             lines.append(f"{platform + '/' + category:<{width}} "
@@ -209,7 +209,7 @@ class RunnerStats:
                          f"{'-':>10} {'-':>12}  "
                          f"{outcome.label()}")
         lines.append(f"{'total':<{width}} {self.busy_time_s * 1e3:>7.1f}ms "
-                     f"{sum(self.cell_spans.values()) * 1e3:>7.1f}ms "
+                     f"{self.wall_time_s * 1e3:>7.1f}ms "
                      f"{self.instructions_total:>10} "
-                     f"{self.instructions_per_s:>12,.0f}")
+                     f"{rate_col(self.instructions_total, self.busy_time_s)}")
         return "\n".join(lines)

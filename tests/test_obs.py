@@ -466,3 +466,26 @@ class TestProfileTable:
 
     def test_all_cached_run_has_no_table(self):
         assert "no cells executed" in RunnerStats().profile()
+
+    def test_total_span_is_run_wall_time_not_sum_of_spans(self):
+        # Spans overlap: both cells were queued when the run started.
+        stats = self._stats()
+        stats.wall_time_s = 0.6
+        total = stats.profile().splitlines()[-1].split()
+        assert total[0] == "total"
+        assert total[2] == "600.0ms"  # not 515.0ms, the sum of the spans
+
+    def test_cell_without_instructions_has_no_rate(self):
+        stats = self._stats()
+        cell = ("embedded", "classical-physical")
+        stats.cell_times[cell] = 0.04
+        stats.cell_instrets[cell] = 0
+        stats.outcomes[cell] = CellOutcome("ok")
+        rows = {line.split()[0]: line.split()
+                for line in stats.profile().splitlines()[2:]}
+        assert rows["embedded/classical-physical"][4] == "-"
+        assert rows["embedded/local"][4] == "243,902"
+        empty = RunnerStats(cache_misses=1)
+        empty.cell_times[cell] = 0.04
+        empty.outcomes[cell] = CellOutcome("ok")
+        assert empty.profile().splitlines()[-1].split()[-1] == "-"

@@ -9,6 +9,7 @@ smoke test runs the matrix in fresh subprocesses under *different*
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -166,7 +167,9 @@ class TestParallelExecution:
             def __init__(self, *a, **k):
                 raise OSError("fork denied")
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", _NoPool)
+        # The engine imports the pool class where it builds a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _NoPool)
         results, mode = parallel_map(abs, [-1, -2, -3], jobs=4)
         assert results == [1, 2, 3]
         assert mode == "serial-fallback"
@@ -200,7 +203,9 @@ class TestSupervisedRunner:
             def __init__(self, *a, **k):
                 raise OSError("fork denied")
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", _NoPool)
+        # The engine imports the pool class where it builds a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _NoPool)
         runner = ExperimentRunner(jobs=4)
         specs = _cheap_specs(2)
         results = runner.run(specs)

@@ -12,6 +12,10 @@ the highest-signal subset of the configured E/F/W/I rules:
 * E731  lambda assignment
 * F401  imported name never used (module scope, AST-based; names that
   only appear inside string annotations count as used)
+* F822  name in ``__all__`` that the module neither defines, imports,
+  nor serves from its lazy export table (a package's submodules count
+  as defined); for a lazy table (``repro._lazy.lazy_exports``), each
+  entry's submodule must exist and define or import the name
 * W291/W293  trailing whitespace
 * I001  first-party/stdlib import blocks out of sorted order (approximate)
 
@@ -106,6 +110,84 @@ def check_unused_imports(path: Path, tree: ast.AST) -> list[Finding]:
                     f"'{source}' imported but unused")
             for name, (lineno, source) in sorted(imported.items())
             if name not in used]
+
+
+def _bound_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at module scope, inside if/try/for/with too."""
+    names: set[str] = set()
+    stack: list[ast.AST] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        else:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.stmt, ast.excepthandler)):
+                    stack.append(child)
+                else:
+                    names.update(
+                        sub.id for sub in ast.walk(child)
+                        if isinstance(sub, ast.Name)
+                        and isinstance(sub.ctx, ast.Store))
+    return names
+
+
+def _lazy_table(tree: ast.Module) -> dict[str, str] | None:
+    """The name -> submodule dict a module hands ``lazy_exports``."""
+    dicts = {target.id: node.value for node in tree.body
+             if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Dict)
+             for target in node.targets if isinstance(target, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "lazy_exports" and len(node.args) == 2 \
+                and isinstance(node.args[1], ast.Name) \
+                and node.args[1].id in dicts:
+            table = dicts[node.args[1].id]
+            return {key.value: value.value
+                    for key, value in zip(table.keys, table.values)
+                    if isinstance(key, ast.Constant)
+                    and isinstance(value, ast.Constant)}
+    return None
+
+
+def check_exports(path: Path, tree: ast.Module) -> list[Finding]:
+    """F822: every exported name must resolve to something."""
+    findings: list[Finding] = []
+    bound = _bound_names(tree)
+    if path.name == "__init__.py":
+        bound |= {child.stem for child in path.parent.iterdir()
+                  if child.suffix == ".py" or (child / "__init__.py").exists()}
+    table = _lazy_table(tree)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets) and isinstance(
+                node.value, (ast.List, ast.Tuple)):
+            for elt in node.value.elts:
+                if isinstance(elt, ast.Constant) and elt.value not in bound \
+                        and elt.value not in (table or {}):
+                    findings.append(Finding(
+                        path, elt.lineno, "F822",
+                        f"undefined name {elt.value!r} in __all__"))
+    for name, module in (table or {}).items():
+        source = path.parent / f"{module}.py"
+        if not source.exists():
+            source = path.parent / module / "__init__.py"
+        if not source.exists():
+            findings.append(Finding(
+                path, 1, "F822",
+                f"lazy export {name!r}: no submodule {module!r}"))
+        elif name not in _bound_names(ast.parse(
+                source.read_text(encoding="utf-8"))):
+            findings.append(Finding(
+                path, 1, "F822",
+                f"lazy export {name!r} is not defined in {module!r}"))
+    return findings
 
 
 def check_ast(path: Path, tree: ast.AST) -> list[Finding]:
@@ -207,6 +289,7 @@ def lint_file(path: Path) -> list[Finding]:
     return (check_lines(path, text)
             + check_import_order(path, text)
             + check_unused_imports(path, tree)
+            + check_exports(path, tree)
             + check_ast(path, tree))
 
 
